@@ -9,15 +9,15 @@ discriminant and certified through the rank of L(lambda0).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GyrospecError, InsufficientResolutionError, ShapeError
-from .model import RotorModel, PerturbationSet, build_pencil
-from .qep import charpoly_of_matrix, companion_matrix, poly_roots, \
-    roots_batch, solve_qep
+from .errors import (ConvergenceError, InsufficientResolutionError,
+                     OverflowRescaleError, ShapeError)
+from .model import RotorModel, PerturbationSet, build_pencil, pencil_coefficients
+from .qep import charpoly_of_matrix, companion_matrix, companion_stack, \
+    poly_roots, roots_batch
 from .tolerances import DEFAULT
 
 PARAM_NAMES = ("Omega", "kappa", "delta", "nu")
@@ -107,26 +107,62 @@ class StabilityChart:
 
 
 def _verdict_parts(eigs: np.ndarray, marginal_rtol: float):
-    """Vectorized classification of eigenvalue rows (M, 4n)."""
+    """Vectorized classification of eigenvalue rows (M, 4n).
+
+    The critical eigenvalue is the max Re member with the largest |Im|,
+    reported with Im >= 0: which partner of a conjugate pair has the
+    larger computed real part is down to rounding.
+    """
     max_re = eigs.real.max(axis=1)
-    order = np.lexsort((eigs.imag, np.abs(eigs.imag), eigs.real), axis=1)
-    crit_idx = order[:, -1]
-    crit = np.take_along_axis(eigs, crit_idx[:, None], axis=1)[:, 0]
+    order = np.lexsort((np.abs(eigs.imag), eigs.real), axis=1)
+    crit = np.take_along_axis(eigs, order[:, -1:], axis=1)[:, 0]
+    crit.imag = np.abs(crit.imag)
     scale = np.maximum(1.0, np.abs(eigs).max(axis=1))
     tol = marginal_rtol * scale
     codes = np.full(len(eigs), CLASS_NAMES.index(MARGINAL), dtype=np.int8)
     codes[max_re < -tol] = CLASS_NAMES.index(ASYMPTOTICALLY_STABLE)
     unstable = max_re > tol
-    codes[unstable & (np.abs(crit.imag) > tol)] = CLASS_NAMES.index(FLUTTER)
-    codes[unstable & (np.abs(crit.imag) <= tol)] = CLASS_NAMES.index(DIVERGENCE)
+    codes[unstable & (crit.imag > tol)] = CLASS_NAMES.index(FLUTTER)
+    codes[unstable & (crit.imag <= tol)] = CLASS_NAMES.index(DIVERGENCE)
     return max_re, crit, codes
 
 
+def _failures(eigs: np.ndarray, resid: np.ndarray, poly_residual: float):
+    """Rows the solver could not certify: (mask (M,), reason per failed row).
+
+    Overflowed characteristic coefficients leave NaN rows; otherwise a
+    row fails when its worst scaled root residual is above
+    ``poly_residual`` or is NaN.
+    """
+    overflow = ~np.all(np.isfinite(eigs.view(float)), axis=1)
+    worst = resid.max(axis=1)
+    bad = overflow | ~(worst <= poly_residual)
+    reasons = {int(k): "coefficients overflowed" if overflow[k] else
+               f"root residual {worst[k]:.3e} above {poly_residual:.1e}"
+               for k in np.nonzero(bad)[0]}
+    return bad, reasons
+
+
 def classify(model: RotorModel, pert: PerturbationSet,
-             marginal_rtol: float = DEFAULT.marginal_rtol) -> StabilityVerdict:
-    """Stability verdict at one operating point (solver failures propagate)."""
-    spectrum = solve_qep(build_pencil(model, pert), want_vectors=False)
-    eigs = spectrum.eigenvalues[None, :]
+             marginal_rtol: float = DEFAULT.marginal_rtol,
+             poly_residual: float = DEFAULT.poly_residual) -> StabilityVerdict:
+    """Stability verdict at one operating point.
+
+    A one-point call of :func:`eigenvalues_at_points`, so it agrees
+    exactly with :func:`sweep2d` at the same node.  Raises
+    OverflowRescaleError when the characteristic coefficients overflow
+    and ConvergenceError when a root residual is above ``poly_residual``.
+    """
+    pts = np.array([[pert.Omega, pert.kappa]])
+    eigs, resid = eigenvalues_at_points(model, pert, ("Omega", "kappa"), pts)
+    bad, reasons = _failures(eigs, resid, poly_residual)
+    if bad[0]:
+        if not np.all(np.isfinite(eigs)):
+            raise OverflowRescaleError(
+                "polynomial coefficients overflowed; rescale the pencil "
+                "(divide frequencies and gains by a common factor)")
+        raise ConvergenceError(f"characteristic {reasons[0]}",
+                               best=eigs[0], residuals=resid[0])
     max_re, crit, codes = _verdict_parts(eigs, marginal_rtol)
     return StabilityVerdict(
         classification=CLASS_NAMES[codes[0]],
@@ -135,56 +171,39 @@ def classify(model: RotorModel, pert: PerturbationSet,
     )
 
 
-def _gain_arrays(pert: PerturbationSet, plane: tuple[str, str], pts: np.ndarray):
-    vals = {name: np.full(len(pts), getattr(pert, name)) for name in PARAM_NAMES}
-    vals[plane[0]] = pts[:, 0].astype(float)
-    vals[plane[1]] = pts[:, 1].astype(float)
-    return vals
-
-
 def eigenvalues_at_points(model: RotorModel, pert: PerturbationSet,
                           plane: tuple[str, str], pts: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Exact eigenvalues at many operating points of one plane.
 
-    Returns (eigenvalues (M, 4n), scaled poly residuals (M, 4n)).  The
-    single-doublet case is evaluated as one batched companion/root pass;
-    larger models fall back to a per-point loop.
+    Returns (eigenvalues (M, 4n), scaled poly residuals (M, 4n)).  Every
+    model size takes the same batched pass: the (M, 4n, 4n) companion
+    stack, its characteristic polynomials and one root iteration over
+    all rows.  Rows whose coefficients overflow come back as NaN
+    eigenvalues with inf residuals.  Residual acceptance is the caller's
+    concern.
+
+    The path agrees with LAPACK ``eigvals`` of the companion matrix for
+    n <= 3 (the oracle tests); for n >= 4 the degree-4n characteristic
+    polynomial is ill-conditioned, the result is not verified and rows
+    may fail the residual gate of :func:`sweep2d`.
     """
     pts = np.asarray(pts, dtype=float)
-    g = _gain_arrays(pert, plane, pts)
-    if model.n == 1:
-        M = len(pts)
-        with np.errstate(over="ignore", invalid="ignore"):
-            C = 2.0 * g["Omega"][:, None, None] * model.G \
-                + g["delta"][:, None, None] * pert.D
-            S = model.P + g["Omega"][:, None, None] ** 2 * model.G2 \
-                + g["kappa"][:, None, None] * pert.K \
-                + g["nu"][:, None, None] * pert.N
-            A = np.zeros((M, 4, 4))
-            A[:, :2, 2:] = np.eye(2)
-            A[:, 2:, :2] = -S
-            A[:, 2:, 2:] = -C
-            coeffs = charpoly_of_matrix(A)
+    gains = {name: np.full((len(pts), 1, 1), getattr(pert, name))
+             for name in PARAM_NAMES}
+    gains[plane[0]] = pts[:, 0, None, None]
+    gains[plane[1]] = pts[:, 1, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        C, S = pencil_coefficients(model, pert, **gains)
+        coeffs = charpoly_of_matrix(companion_stack(C, S))
         finite = np.all(np.isfinite(coeffs), axis=1)
         if finite.all():
             return roots_batch(coeffs)
-        # keep per-point semantics: overflowed cells yield NaN rows
-        eigs = np.full((M, 4), np.nan, dtype=complex)
-        resid = np.full((M, 4), np.inf)
+        d = coeffs.shape[1] - 1
+        eigs = np.full((len(pts), d), np.nan, dtype=complex)
+        resid = np.full((len(pts), d), np.inf)
         if finite.any():
             eigs[finite], resid[finite] = roots_batch(coeffs[finite])
-        return eigs, resid
-    eigs = np.full((len(pts), 4 * model.n), np.nan, dtype=complex)
-    resid = np.full((len(pts), 4 * model.n), np.inf)
-    for i in range(len(pts)):
-        p = pert.replace(**{name: g[name][i] for name in PARAM_NAMES})
-        A = companion_matrix(build_pencil(model, p))
-        try:
-            r, s = roots_batch(charpoly_of_matrix(A)[None, :])
-        except GyrospecError:
-            continue
-        eigs[i], resid[i] = r[0], s[0]
     return eigs, resid
 
 
@@ -207,10 +226,15 @@ def _validate_axis(ax, name: str) -> np.ndarray:
 
 def sweep2d(model: RotorModel, pert_template: PerturbationSet,
             plane: tuple[str, str], grid,
-            workers: int | None = None,
             marginal_rtol: float = DEFAULT.marginal_rtol,
             poly_residual: float = DEFAULT.poly_residual) -> StabilityChart:
     """Classify every node of a 2-D parameter grid.
+
+    All nodes go through one batched :func:`eigenvalues_at_points` call,
+    for any number of doublets.  A node whose coefficients overflow or
+    whose worst root residual is above ``poly_residual`` (or NaN) becomes
+    an ERROR cell with NaN ``max_re`` and ``im_at_max``; its reason is
+    listed in ``chart.errors``.
 
     Parameters
     ----------
@@ -219,9 +243,6 @@ def sweep2d(model: RotorModel, pert_template: PerturbationSet,
         template.
     grid : (axis1, axis2)
         Strictly increasing sample values for the two plane parameters.
-    workers : int, optional
-        Thread count for the n > 1 per-point path; output is identical
-        for any worker count.
     """
     if len(plane) != 2 or plane[0] == plane[1] \
             or any(p not in PARAM_NAMES for p in plane):
@@ -232,48 +253,13 @@ def sweep2d(model: RotorModel, pert_template: PerturbationSet,
     P1, P2 = np.meshgrid(axis1, axis2, indexing="ij")
     pts = np.column_stack([P1.ravel(), P2.ravel()])
 
-    errors: list[tuple[int, int, str]] = []
-    if model.n == 1:
-        eigs, resid = eigenvalues_at_points(model, pert_template, plane, pts)
-        max_re, crit, codes = _verdict_parts(eigs, marginal_rtol)
-        bad = ~np.all(np.isfinite(eigs.view(float)), axis=1) \
-            | (resid.max(axis=1) > poly_residual)
-        if bad.any():
-            codes = codes.copy()
-            codes[bad] = CLASS_NAMES.index(ERROR)
-            max_re = np.where(bad, np.nan, max_re)
-            for flat in np.nonzero(bad)[0]:
-                errors.append((flat // n2, flat % n2,
-                               f"root residual {resid[flat].max():.3e}"))
-    else:
-        max_re = np.empty(len(pts))
-        crit = np.empty(len(pts), dtype=complex)
-        codes = np.empty(len(pts), dtype=np.int8)
-
-        def one(flat: int):
-            p1, p2 = pts[flat]
-            p = pert_template.replace(**{plane[0]: p1, plane[1]: p2})
-            try:
-                v = classify(model, p, marginal_rtol)
-                return flat, v, None
-            except GyrospecError as exc:
-                return flat, None, str(exc)
-
-        if workers and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(one, range(len(pts))))
-        else:
-            results = [one(flat) for flat in range(len(pts))]
-        for flat, v, err in results:
-            if err is not None:
-                codes[flat] = CLASS_NAMES.index(ERROR)
-                max_re[flat] = np.nan
-                crit[flat] = complex(np.nan, np.nan)
-                errors.append((flat // n2, flat % n2, err))
-            else:
-                codes[flat] = CLASS_NAMES.index(v.classification)
-                max_re[flat] = v.max_re
-                crit[flat] = v.critical_eigenvalue
+    eigs, resid = eigenvalues_at_points(model, pert_template, plane, pts)
+    max_re, crit, codes = _verdict_parts(eigs, marginal_rtol)
+    bad, reasons = _failures(eigs, resid, poly_residual)
+    codes[bad] = CLASS_NAMES.index(ERROR)
+    max_re[bad] = np.nan
+    crit[bad] = complex(np.nan, np.nan)
+    errors = tuple((flat // n2, flat % n2, why) for flat, why in reasons.items())
 
     fixed = {name: getattr(pert_template, name) for name in PARAM_NAMES
              if name not in plane}
@@ -282,7 +268,7 @@ def sweep2d(model: RotorModel, pert_template: PerturbationSet,
         max_re=max_re.reshape(n1, n2),
         im_at_max=crit.imag.reshape(n1, n2),
         class_codes=codes.reshape(n1, n2),
-        errors=tuple(errors), model=model, pert_template=pert_template,
+        errors=errors, model=model, pert_template=pert_template,
         marginal_rtol=marginal_rtol,
     )
 
@@ -344,10 +330,6 @@ def _refine_edges(chart: StabilityChart, edges, boundary_residual, max_bisect):
             for k, eid in enumerate(ids)}
 
 
-def _cell_edge_id(kind: str, i: int, j: int):
-    return (kind, i, j)
-
-
 def trace_boundary(chart: StabilityChart,
                    boundary_residual: float = DEFAULT.boundary_residual,
                    max_bisect: int = 90) -> tuple[Polyline, ...]:
@@ -370,13 +352,13 @@ def trace_boundary(chart: StabilityChart,
             if nan_node[i, j] or nan_node[i + 1, j]:
                 continue
             if mask[i, j] != mask[i + 1, j]:
-                edges.add(_cell_edge_id("h", i, j))
+                edges.add(("h", i, j))
     for i in range(n1):
         for j in range(n2 - 1):
             if nan_node[i, j] or nan_node[i, j + 1]:
                 continue
             if mask[i, j] != mask[i, j + 1]:
-                edges.add(_cell_edge_id("v", i, j))
+                edges.add(("v", i, j))
 
     refined = _refine_edges(chart, edges, boundary_residual, max_bisect)
     good = {eid for eid, (_, _, ok) in refined.items() if ok}
@@ -400,10 +382,10 @@ def trace_boundary(chart: StabilityChart,
                 else:
                     pairs = (("b", "l"), ("t", "r"))
             local = {
-                "b": _cell_edge_id("h", i, j),
-                "t": _cell_edge_id("h", i, j + 1),
-                "l": _cell_edge_id("v", i, j),
-                "r": _cell_edge_id("v", i + 1, j),
+                "b": ("h", i, j),
+                "t": ("h", i, j + 1),
+                "l": ("v", i, j),
+                "r": ("v", i + 1, j),
             }
             for ea, eb in pairs:
                 ia, ib = local[ea], local[eb]

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 domain error (solver/regime failures), 2 usage
 error (bad arguments or configuration).  Outputs are written atomically
-(write-then-rename) and are byte-identical across runs and worker counts.
+(write-then-rename) and are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -124,7 +124,6 @@ def _spectrum_rows(spectrum: qep.Spectrum):
 
 
 def run(cfg: RunConfig, out_dir: str | None = None,
-        threads: int | None = None,
         tol_overrides: dict | None = None) -> list[Path]:
     """Execute one configured command; returns the written files."""
     tol = DEFAULT.override(**{**cfg.tolerances, **(tol_overrides or {})})
@@ -151,7 +150,8 @@ def run(cfg: RunConfig, out_dir: str | None = None,
     elif command == "report":
         pert = _build_template(cfg, tol)
         rep = perturbation.perturbation_report(model, pert)
-        verdict = atlas.classify(model, pert, marginal_rtol=tol.marginal_rtol)
+        verdict = atlas.classify(model, pert, marginal_rtol=tol.marginal_rtol,
+                                 poly_residual=tol.poly_residual)
         emit("report.csv",
              "Omega,kappa,delta,nu,re_c,im_c,A,beta0,kappa0,omega0,"
              "Omega_cr,B,epsilon,max_re,im_at_max,class",
@@ -166,7 +166,7 @@ def run(cfg: RunConfig, out_dir: str | None = None,
         pert = _build_template(cfg, tol)
         chart = atlas.sweep2d(model, pert, plane,
                               (_axis(cfg.axes[plane[0]]), _axis(cfg.axes[plane[1]])),
-                              workers=threads, marginal_rtol=tol.marginal_rtol,
+                              marginal_rtol=tol.marginal_rtol,
                               poly_residual=tol.poly_residual)
         if command == "sweep":
             emit("sweep.csv", "Omega,kappa,delta,nu,max_re,im_at_max,class",
@@ -240,8 +240,8 @@ def run(cfg: RunConfig, out_dir: str | None = None,
             chart = atlas.sweep2d(model, pert, ("Omega", "kappa"),
                                   (np.linspace(olo, ohi, 201),
                                    np.linspace(klo, khi, 201)),
-                                  workers=threads,
-                                  marginal_rtol=tol.marginal_rtol)
+                                  marginal_rtol=tol.marginal_rtol,
+                                  poly_residual=tol.poly_residual)
             emit(f"fig2{label}_sweep.csv",
                  "Omega,kappa,delta,nu,max_re,im_at_max,class",
                  _sweep_rows(chart))
@@ -257,8 +257,8 @@ def run(cfg: RunConfig, out_dir: str | None = None,
             chart = atlas.sweep2d(model, pert, ("Omega", "kappa"),
                                   (np.linspace(olo, ohi, 201),
                                    np.linspace(klo, khi, 201)),
-                                  workers=threads,
-                                  marginal_rtol=tol.marginal_rtol)
+                                  marginal_rtol=tol.marginal_rtol,
+                                  poly_residual=tol.poly_residual)
             tag = _tag(delta)
             emit(f"fig3_sweep_delta_{tag}.csv",
                  "Omega,kappa,delta,nu,max_re,im_at_max,class",
@@ -281,23 +281,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("config", help="run configuration file")
     parser.add_argument("--out", help="output directory (overrides output.path)")
-    parser.add_argument("--threads", type=int,
-                        help="worker threads for sweeps "
-                             "(fallback: GYROSPEC_THREADS)")
     parser.add_argument("--tol", action="append", default=[],
                         metavar="KEY=VAL", help="tolerance override")
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("GYROSPEC_THREADS")
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                print(f"gyrospec: bad GYROSPEC_THREADS value {env!r}",
-                      file=sys.stderr)
-                return 2
 
     tol_overrides = {}
     for item in args.tol:
@@ -324,8 +310,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        written = run(cfg, out_dir=args.out, threads=threads,
-                      tol_overrides=tol_overrides)
+        written = run(cfg, out_dir=args.out, tol_overrides=tol_overrides)
     except GyrospecError as exc:
         print(f"gyrospec: {exc}", file=sys.stderr)
         return 1

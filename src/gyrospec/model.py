@@ -185,19 +185,30 @@ class MeshEigenvalue:
     value: complex
 
 
-def build_pencil(model: RotorModel, pert: PerturbationSet) -> QuadraticPencil:
-    """Assemble the perturbed pencil at one operating point.
+def pencil_coefficients(model: RotorModel, pert: PerturbationSet,
+                        Omega, delta, kappa, nu) -> tuple[np.ndarray, np.ndarray]:
+    """Damping and stiffness of the pencil for the shape matrices of ``pert``.
 
     damping_total = 2 Omega G + delta D
     stiffness_total = P + Omega^2 G^2 + kappa K + nu N
+
+    The gains are scalars or arrays of shape (M, 1, 1), which give stacks
+    of M pencils.
     """
     if pert.D.shape != (model.size, model.size):
         raise ShapeError(
             f"perturbation matrices are {pert.D.shape}, rotor needs "
             f"({model.size}, {model.size})"
         )
-    C = 2.0 * pert.Omega * model.G + pert.delta * pert.D
-    S = model.P + pert.Omega ** 2 * model.G2 + pert.kappa * pert.K + pert.nu * pert.N
+    C = 2.0 * Omega * model.G + delta * pert.D
+    S = model.P + Omega ** 2 * model.G2 + kappa * pert.K + nu * pert.N
+    return C, S
+
+
+def build_pencil(model: RotorModel, pert: PerturbationSet) -> QuadraticPencil:
+    """Assemble the perturbed pencil at one operating point."""
+    C, S = pencil_coefficients(model, pert, pert.Omega, pert.delta,
+                               pert.kappa, pert.nu)
     return QuadraticPencil(damping_total=C, stiffness_total=S)
 
 

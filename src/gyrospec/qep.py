@@ -54,14 +54,19 @@ class CharPoly:
         return out
 
 
+def companion_stack(C: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """First-order linearizations [[0, I], [-S, -C]], batched over leading axes."""
+    m = C.shape[-1]
+    A = np.zeros(C.shape[:-2] + (2 * m, 2 * m))
+    A[..., :m, m:] = np.eye(m)
+    A[..., m:, :m] = -S
+    A[..., m:, m:] = -C
+    return A
+
+
 def companion_matrix(pencil: QuadraticPencil) -> np.ndarray:
     """First-order linearization [[0, I], [-S, -C]] of the pencil."""
-    m = pencil.size
-    A = np.zeros((2 * m, 2 * m))
-    A[:m, m:] = np.eye(m)
-    A[m:, :m] = -pencil.stiffness_total
-    A[m:, m:] = -pencil.damping_total
-    return A
+    return companion_stack(pencil.damping_total, pencil.stiffness_total)
 
 
 def charpoly_of_matrix(A: np.ndarray) -> np.ndarray:
@@ -151,11 +156,17 @@ def roots_batch(coeffs: np.ndarray, max_iter: int = _MAX_ITER) -> tuple[np.ndarr
     if d == 1:
         x = -a[:, 1:2].astype(complex)
     else:
-        # simultaneous iteration; converged rows leave the working set
+        # simultaneous iteration; converged rows leave the working set.
+        # Rounding can trap a row in an exact cycle of states (approximants
+        # and live mask) that never passes the step test.  Once Brent's
+        # search (snapshots at iterations 2**k - 1) sees the repeat, the row
+        # stops where max_iter would have left it in the cycle: same roots.
         rows = np.arange(n)
         wx, wa = x, a
         active = np.ones((n, d), dtype=bool)
-        for _ in range(max_iter):
+        stop = np.full(n, max_iter - 1)
+        snap_bits, snap_active, snap_it = x.view(np.uint64).copy(), active, -1
+        for it in range(max_iter):
             p, dp = _horner_pair(wa, wx)
             # Aberth correction w / (1 - w * sum_j 1/(x_i - x_j))
             dp = np.where(dp == 0.0, np.finfo(float).tiny, dp)
@@ -173,6 +184,12 @@ def roots_batch(coeffs: np.ndarray, max_iter: int = _MAX_ITER) -> tuple[np.ndarr
                 wx = np.where(bad, wx * (1.0 + 1e-8) + 1e-8, wx)
             wx = wx - corr
             active = np.abs(corr) > _STEP_TOL * (1.0 + np.abs(wx))
+            bits = wx.view(np.uint64)
+            cycled = (bits == snap_bits).all(1) & (active == snap_active).all(1)
+            stop[cycled] = it + (max_iter - 1 - it) % (it - snap_it)
+            if (it & (it + 1)) == 0:
+                snap_bits, snap_active, snap_it = bits, active.copy(), it
+            active[stop == it] = False
             x[rows] = wx
             row_live = active.any(axis=1)
             if not row_live.any():
@@ -182,6 +199,9 @@ def roots_batch(coeffs: np.ndarray, max_iter: int = _MAX_ITER) -> tuple[np.ndarr
                 wx = wx[row_live]
                 wa = wa[row_live]
                 active = active[row_live]
+                stop = stop[row_live]
+                snap_bits = snap_bits[row_live]
+                snap_active = snap_active[row_live]
         for _ in range(_POLISH_STEPS):
             p, dp = _horner_pair(a, x)
             step = np.where(dp == 0.0, 0.0, p / np.where(dp == 0.0, 1.0, dp))
@@ -203,7 +223,7 @@ def poly_roots(poly, residual_tol: float = DEFAULT.poly_residual,
     """
     coeffs = poly.coefficients if isinstance(poly, CharPoly) else poly
     roots, resid = roots_batch(np.asarray(coeffs, dtype=float)[None, :], max_iter)
-    if np.any(resid > residual_tol):
+    if np.any(~(resid <= residual_tol)):  # NaN fails too
         worst = float(np.max(resid))
         raise ConvergenceError(
             f"root residual {worst:.3e} above {residual_tol:.1e} after "
@@ -276,7 +296,7 @@ def solve_qep(pencil: QuadraticPencil, want_vectors: bool = True,
     coeffs = np.asarray(cp.coefficients)
     roots, poly_resid = roots_batch(coeffs[None, :])
     roots, poly_resid = roots[0], poly_resid[0]
-    if np.any(poly_resid > residual_tol):
+    if np.any(~(poly_resid <= residual_tol)):  # NaN fails too
         worst = float(np.max(poly_resid))
         raise ConvergenceError(
             f"characteristic root residual {worst:.3e} above {residual_tol:.1e}",

@@ -7,7 +7,9 @@ from conftest import FIG_D, FIG_K
 from gyrospec.atlas import (CLASS_NAMES, boundary_slope_at_origin, classify,
                             eigenvalues_at_points, find_exceptional_points,
                             max_re_at_points, sweep2d, trace_boundary)
-from gyrospec.errors import InsufficientResolutionError, ShapeError
+from gyrospec.qep import char_poly, companion_matrix, poly_roots, solve_qep
+from gyrospec.errors import (ConvergenceError, InsufficientResolutionError,
+                             ShapeError)
 from gyrospec.model import PerturbationSet, RotorModel, build_pencil
 from gyrospec.perturbation import (beta0, criterion_B, ep_location,
                                    invariant_A, modal_data)
@@ -87,18 +89,89 @@ class TestSweep2d:
                 assert chart.class_name(i, j) == v.classification
                 assert abs(chart.max_re[i, j] - v.max_re) < 1e-10
 
-    def test_multidoublet_loop_and_workers(self):
-        model = RotorModel((1.0, 2.3))
-        size = 4
-        rng = np.random.default_rng(3)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_multidoublet_matches_companion_eigvals(self, n):
+        model = RotorModel.string(n)
+        size = 2 * n
+        rng = np.random.default_rng(10 + n)
+        D = rng.uniform(-1, 1, (size, size))
+        K = rng.uniform(-1, 1, (size, size))
+        pert = PerturbationSet(D=0.5 * (D + D.T), K=0.5 * (K + K.T),
+                               delta=0.2, kappa=0.1)
+        ax1, ax2 = np.linspace(-0.45, 0.45, 10), np.linspace(-0.2, 0.2, 7)
+        chart = sweep2d(model, pert, ("Omega", "nu"), (ax1, ax2))
+        assert chart.errors == ()
+        tol = chart.marginal_rtol
+        judged = 0
+        for i, Om in enumerate(ax1):
+            for j, nu in enumerate(ax2):
+                pen = build_pencil(model, pert.replace(Omega=Om, nu=nu))
+                ref = np.linalg.eigvals(companion_matrix(pen))
+                scale = max(1.0, np.abs(ref).max())
+                top = ref[np.argmax(ref.real)]
+                assert abs(chart.max_re[i, j] - top.real) <= 1e-10 * scale
+                if abs(top.real) <= 10 * tol * scale:
+                    continue  # marginal band: rounding may pick either side
+                if top.real < 0:
+                    want = "asymptotically_stable"
+                else:
+                    want = "flutter" if abs(top.imag) > tol * scale else "divergence"
+                assert chart.class_name(i, j) == want
+                judged += 1
+        assert judged > ax1.size * ax2.size // 2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_multidoublet_nodes_equal_classify(self, n):
+        model = RotorModel.string(n)
+        size = 2 * n
+        rng = np.random.default_rng(20 + n)
         D = rng.uniform(-1, 1, (size, size))
         pert = PerturbationSet(D=0.5 * (D + D.T), K=np.eye(size), delta=0.1,
                                kappa=0.05)
-        grid = (np.linspace(-0.3, 0.3, 4), np.linspace(-0.1, 0.1, 3))
-        serial = sweep2d(model, pert, ("Omega", "nu"), grid)
-        threaded = sweep2d(model, pert, ("Omega", "nu"), grid, workers=3)
-        assert np.array_equal(serial.class_codes, threaded.class_codes)
-        assert np.array_equal(serial.max_re, threaded.max_re)
+        ax1, ax2 = np.linspace(-0.3, 0.3, 4), np.linspace(-0.1, 0.1, 3)
+        chart = sweep2d(model, pert, ("Omega", "nu"), (ax1, ax2))
+        for i, Om in enumerate(ax1):
+            for j, nu in enumerate(ax2):
+                v = classify(model, pert.replace(Omega=Om, nu=nu))
+                assert chart.verdict(i, j) == v
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_poly_residual_gate_same_rule_every_n(self, n):
+        model = RotorModel.string(n)
+        size = 2 * n
+        pert = PerturbationSet(D=np.eye(size), K=np.eye(size), delta=0.2)
+        ax1, ax2 = np.linspace(-0.4, 0.4, 6), np.linspace(-0.2, 0.2, 5)
+        P1, P2 = np.meshgrid(ax1, ax2, indexing="ij")
+        _, resid = eigenvalues_at_points(
+            model, pert, ("Omega", "kappa"),
+            np.column_stack([P1.ravel(), P2.ravel()]))
+        worst = resid.max(axis=1).reshape(P1.shape)
+        tight = float(np.median(worst))
+        chart = sweep2d(model, pert, ("Omega", "kappa"), (ax1, ax2),
+                        poly_residual=tight)
+        failed = chart.class_codes == CLASS_NAMES.index("error")
+        assert np.array_equal(failed, worst > tight)
+        assert failed.any() and not failed.all()
+        assert len(chart.errors) == int(failed.sum())
+        assert all(why.startswith("root residual") for _, _, why in chart.errors)
+        assert np.isnan(chart.max_re[failed]).all()
+        assert np.isnan(chart.im_at_max[failed]).all()
+
+    def test_critical_eigenvalue_upper_half_plane(self, model1):
+        pert = PerturbationSet(D=FIG_D, K=FIG_K, delta=0.3, nu=0.05)
+        ax1, ax2 = np.linspace(-0.45, 0.45, 31), np.linspace(-0.3, 0.3, 21)
+        chart = sweep2d(model1, pert, ("Omega", "kappa"), (ax1, ax2))
+        assert (chart.im_at_max >= 0).all()
+        P1, P2 = np.meshgrid(ax1, ax2, indexing="ij")
+        eigs, _ = eigenvalues_at_points(
+            model1, pert, ("Omega", "kappa"),
+            np.column_stack([P1.ravel(), P2.ravel()]))
+        # a max Re eigenvalue of the node or its conjugate partner
+        crit = (chart.max_re + 1j * chart.im_at_max).ravel()[:, None]
+        assert (np.minimum(np.abs(eigs - crit), np.abs(eigs.conj() - crit))
+                .min(axis=1) == 0).all()
+        v = classify(model1, pert.replace(Omega=0.1, kappa=0.2))
+        assert v.critical_eigenvalue.imag > 0
 
     def test_cell_failure_recorded_and_sweep_continues(self, model1):
         # gigantic speeds overflow the characteristic coefficients in some
@@ -112,6 +185,7 @@ class TestSweep2d:
         assert not (chart.class_codes == error_code).all()
         good = chart.class_codes != error_code
         assert np.all(np.isfinite(chart.max_re[good]))
+        assert {why for _, _, why in chart.errors} == {"coefficients overflowed"}
 
     def test_axis_validation(self, model1):
         pert = PerturbationSet(D=FIG_D, K=FIG_K)
@@ -132,6 +206,34 @@ class TestSweep2d:
         big = np.abs(chart.max_re) > 1e-7
         assert np.array_equal(chart.class_codes[big],
                               chart.class_codes[::-1, ::-1][big])
+
+
+class TestNonFiniteResiduals:
+    """String rotor at n = 8: the degree-32 characteristic polynomial gives
+    NaN root residuals; the definite damping makes it stable, so a
+    flutter verdict there is wrong."""
+
+    model = RotorModel.string(8)
+    pert = PerturbationSet(D=np.eye(16), K=np.zeros((16, 16)), delta=0.1,
+                           Omega=0.3)
+
+    def test_classify_raises(self):
+        with pytest.raises(ConvergenceError):
+            classify(self.model, self.pert)
+
+    def test_solver_gates_raise(self):
+        pen = build_pencil(self.model, self.pert)
+        with pytest.raises(ConvergenceError):
+            solve_qep(pen, want_vectors=False)
+        with pytest.raises(ConvergenceError):
+            poly_roots(char_poly(pen))
+
+    def test_sweep_cells_are_errors(self):
+        chart = sweep2d(self.model, self.pert, ("Omega", "delta"),
+                        (np.linspace(0.1, 0.4, 7), np.linspace(0.05, 0.3, 6)))
+        assert (chart.class_codes == CLASS_NAMES.index("error")).all()
+        assert len(chart.errors) == 42
+        assert np.isnan(chart.max_re).all()
 
 
 class TestTraceBoundary:
@@ -308,7 +410,6 @@ class TestBatchEigenvalues:
         pts = np.array([[0.1, 0.05], [-0.3, 0.15], [0.0, 0.0]])
         eigs, resid = eigenvalues_at_points(model1, pert, ("Omega", "kappa"), pts)
         assert resid.max() < 1e-12
-        from gyrospec.qep import solve_qep
         for row, (Om, ka) in zip(eigs, pts):
             s = solve_qep(build_pencil(model1, pert.replace(Omega=Om, kappa=ka)),
                           want_vectors=False)

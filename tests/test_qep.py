@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import FIG_D, FIG_K, pairing_distance, random_symmetric
+from gyrospec import qep
 from gyrospec.errors import ConvergenceError, OverflowRescaleError, ShapeError
 from gyrospec.model import PerturbationSet, RotorModel, build_pencil
 from gyrospec.qep import (CharPoly, char_poly, charpoly_of_matrix,
@@ -116,6 +117,110 @@ class TestPolyRoots:
             poly_roots(np.array([1.0]))
         with pytest.raises(ShapeError):
             poly_roots(np.array([0.0, 1.0, 1.0]))
+
+
+# Characteristic polynomials of n = 2 and n = 3 string rotors (sweep nodes of
+# the benchmark's multi-doublet charts) whose root iteration settles into an
+# exact cycle of rounding-level steps that never pass the step test, and one
+# with a root pair 1.1e-3 apart whose iterates wander without repeating.
+CYCLING_ROWS = (
+    (1.0, 0.0964706063779951, 11.354424726239284, 0.7579366517972116,
+     36.15444927465147, 1.4694453007028832, 41.90255058817452,
+     0.7255207362428419, 13.969315941827276),
+    (1.0, 0.3290374094704512, 11.332496548211655, 2.577146215317666,
+     35.81003884964784, 4.9803373558450845, 41.29954357644254,
+     2.4745720228508037, 13.969315941827276),
+    (1.0, 0.23601068823346874, 11.001420021081339, 1.832512280032236,
+     35.80631303573095, 3.7241080807847697, 43.48360502253273,
+     1.9818051287105167, 16.069542895773562),
+)
+CYCLING_ROWS_N3 = (
+    (1.0, 0.270206770872163, 29.00979364119217, 6.4619972240189005,
+     307.90202803999165, 54.28188605835897, 1522.0547098753032,
+     198.1745907573084, 3631.801211902208, 306.5836651279894,
+     3907.063949550917, 153.7699055252444, 1480.830236019605),
+    (1.0, 0.1513774083875334, 30.179574291479486, 3.7103866038853948,
+     317.5122086192795, 30.46742965753005, 1510.9264761471263,
+     105.7673930913616, 3402.5537883208854, 151.98081650399524,
+     3419.8207706493827, 69.37999104633798, 1149.7920393591123),
+)
+WANDERING_ROW = (1.0, 0.5796284534451109, 11.055482087716411,
+                 4.474843810443915, 27.8666486164627, 7.71037888112774,
+                 22.994609347352984, 3.5405106888716973, 4.157699320637492)
+
+
+def plain_roots(coeffs, max_iter):
+    """roots_batch's iteration with no working set and no cycle search:
+    every row steps max_iter times.  Also tells, per row, whether a live
+    state (approximants and live mask) came back."""
+    a = coeffs / coeffs[:, :1]
+    x = qep._initial_guesses(a)
+    active = np.ones(x.shape, dtype=bool)
+    seen = [set() for _ in x]
+    repeated = np.zeros(len(x), dtype=bool)
+    tiny = np.finfo(float).tiny
+    for _ in range(max_iter):
+        p, dp = qep._horner_pair(a, x)
+        w = p / np.where(dp == 0.0, tiny, dp)
+        diff = x[:, :, None] - x[:, None, :]
+        np.einsum("nii->ni", diff)[...] = np.inf
+        denom = 1.0 - w * np.sum(1.0 / diff, axis=2)
+        corr = np.where(active, w / np.where(denom == 0.0, tiny, denom), 0.0)
+        bad = ~np.isfinite(corr)
+        corr = np.where(bad, 0.0, corr)
+        x = np.where(bad, x * (1.0 + 1e-8) + 1e-8, x) - corr
+        active = np.abs(corr) > qep._STEP_TOL * (1.0 + np.abs(x))
+        for i in np.flatnonzero(active.any(axis=1)):
+            state = x[i].tobytes() + active[i].tobytes()
+            repeated[i] |= state in seen[i]
+            seen[i].add(state)
+    for _ in range(qep._POLISH_STEPS):
+        p, dp = qep._horner_pair(a, x)
+        x_new = x - np.where(dp == 0.0, 0.0, p / np.where(dp == 0.0, 1.0, dp))
+        p_new, _ = qep._horner_pair(a, x_new)
+        x = np.where(np.abs(p_new) <= np.abs(p), x_new, x)
+    order = np.lexsort((x.imag, x.real), axis=1)
+    return np.take_along_axis(x, order, axis=1), repeated
+
+
+class TestRootCycles:
+    """A row trapped in an exact cycle stops early with the same roots."""
+
+    @staticmethod
+    def iterations(monkeypatch, coeffs, max_iter):
+        calls = 0
+        horner = qep._horner_pair
+
+        def counted(a, x):
+            nonlocal calls
+            calls += 1
+            return horner(a, x)
+
+        monkeypatch.setattr(qep, "_horner_pair", counted)
+        roots, _ = roots_batch(coeffs, max_iter)
+        monkeypatch.undo()
+        # the loop, the polish (two evaluations per step), the residual
+        return roots, calls - 2 * qep._POLISH_STEPS - 1
+
+    @pytest.mark.parametrize("row", CYCLING_ROWS + CYCLING_ROWS_N3 + (WANDERING_ROW,))
+    def test_single_row_bitwise_and_shortened(self, monkeypatch, row):
+        coeffs = np.array([row])
+        roots, its = self.iterations(monkeypatch, coeffs, 400)
+        want, repeated = plain_roots(coeffs, 400)
+        assert roots.tobytes() == want.tobytes()
+        # a repeating row stops well short of the cap, any other runs to it
+        assert (its < 250) == bool(repeated[0])
+        assert (its == 400) == (not repeated[0])
+
+    @pytest.mark.parametrize("max_iter", [40, 97, 131, 256, 400])
+    def test_batch_bitwise_for_any_cap(self, max_iter):
+        easy = np.real(np.poly([-0.1 + 1j, -0.1 - 1j, 0.2 + 2j, 0.2 - 2j,
+                                -1.0, -2.0, 0.5 + 0.5j, 0.5 - 0.5j]))
+        coeffs = np.array(CYCLING_ROWS + (WANDERING_ROW, tuple(easy)))
+        roots, resid = roots_batch(coeffs, max_iter)
+        want, _ = plain_roots(coeffs, max_iter)
+        assert roots.tobytes() == want.tobytes()
+        assert np.array_equal(resid, scaled_residuals(coeffs, want))
 
 
 class TestSolveQep:
