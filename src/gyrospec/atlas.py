@@ -289,28 +289,16 @@ _MS_SEGMENTS = {
 }
 
 
-def _refine_edges(chart: StabilityChart, edges, boundary_residual, max_bisect):
-    """Bisect all crossing edges in lockstep against the exact spectrum.
+def _refine_edges(chart: StabilityChart, lo, hi, flo, boundary_residual,
+                  max_bisect):
+    """Bisect all crossing edges (end points lo, hi (E, 2), max Re flo at lo)
+    in lockstep against the exact spectrum.
 
-    Returns dict edge_id -> (point (2,), residual, converged).
+    Returns (points (E, 2), residuals (E,), converged (E,)).
     """
-    if not edges:
-        return {}
-    ids = sorted(edges)
-    lo = np.empty((len(ids), 2))
-    hi = np.empty((len(ids), 2))
-    flo = np.empty(len(ids))
-    f = chart.max_re
-    a1, a2 = chart.axis1, chart.axis2
-    for k, (kind, i, j) in enumerate(ids):
-        if kind == "h":
-            pa, pb, fa = (a1[i], a2[j]), (a1[i + 1], a2[j]), f[i, j]
-        else:
-            pa, pb, fa = (a1[i], a2[j]), (a1[i], a2[j + 1]), f[i, j]
-        lo[k], hi[k], flo[k] = pa, pb, fa
-    resid = np.full(len(ids), np.inf)
+    resid = np.full(len(lo), np.inf)
     point = 0.5 * (lo + hi)
-    done = np.zeros(len(ids), dtype=bool)
+    done = np.zeros(len(lo), dtype=bool)
     for _ in range(max_bisect):
         active = ~done
         if not active.any():
@@ -326,8 +314,7 @@ def _refine_edges(chart: StabilityChart, edges, boundary_residual, max_bisect):
         lo[idx[same]] = mid[same]
         flo[idx[same]] = fm[same]
         hi[idx[~same]] = mid[~same]
-    return {eid: (point[k], float(resid[k]), bool(done[k]))
-            for k, eid in enumerate(ids)}
+    return point, resid, done
 
 
 def trace_boundary(chart: StabilityChart,
@@ -341,62 +328,54 @@ def trace_boundary(chart: StabilityChart,
     on the left and are either closed or terminate on the chart frame.
     """
     f = chart.max_re
-    mask = np.where(np.isnan(f), False, f > 0)
+    a1, a2 = chart.axis1, chart.axis2
     n1, n2 = f.shape
-    nan_node = np.isnan(f)
+    ok = ~np.isnan(f)
+    mask = ok & (f > 0)
 
-    # collect crossing edges, skipping any edge touching a failed cell
-    edges = set()
-    for i in range(n1 - 1):
-        for j in range(n2):
-            if nan_node[i, j] or nan_node[i + 1, j]:
-                continue
-            if mask[i, j] != mask[i + 1, j]:
-                edges.add(("h", i, j))
-    for i in range(n1):
-        for j in range(n2 - 1):
-            if nan_node[i, j] or nan_node[i, j + 1]:
-                continue
-            if mask[i, j] != mask[i, j + 1]:
-                edges.add(("v", i, j))
+    # crossing edges, skipping any edge touching a failed cell.  Edge ids:
+    # (i, j)-(i+1, j) is i * n2 + j, (i, j)-(i, j+1) is nh + i * (n2-1) + j;
+    # ids ascend in (kind, i, j) order, which sets the chain walk's ties.
+    nh = (n1 - 1) * n2
+    h_i, h_j = np.nonzero((mask[:-1] != mask[1:]) & ok[:-1] & ok[1:])
+    v_i, v_j = np.nonzero((mask[:, :-1] != mask[:, 1:]) & ok[:, :-1] & ok[:, 1:])
+    ids = np.concatenate([h_i * n2 + h_j, nh + v_i * (n2 - 1) + v_j])
+    lo = np.column_stack([np.concatenate([a1[h_i], a1[v_i]]),
+                          np.concatenate([a2[h_j], a2[v_j]])])
+    hi = np.column_stack([np.concatenate([a1[h_i + 1], a1[v_i]]),
+                          np.concatenate([a2[h_j], a2[v_j + 1]])])
+    flo = np.concatenate([f[h_i, h_j], f[v_i, v_j]])
+    point, resid, done = _refine_edges(chart, lo, hi, flo, boundary_residual,
+                                       max_bisect)
+    good = set(ids[done].tolist())
 
-    refined = _refine_edges(chart, edges, boundary_residual, max_bisect)
-    good = {eid for eid, (_, _, ok) in refined.items() if ok}
-
-    # build segments cell by cell
+    # build segments in the cells with four finite corners that the level
+    # set crosses
+    m = mask.astype(np.int8)
+    codes = (m[:-1, :-1] << 3) | (m[1:, :-1] << 2) | (m[1:, 1:] << 1) | m[:-1, 1:]
+    cell_ok = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
     segments = []
-    for i in range(n1 - 1):
-        for j in range(n2 - 1):
-            corners = (nan_node[i, j] or nan_node[i + 1, j]
-                       or nan_node[i + 1, j + 1] or nan_node[i, j + 1])
-            if corners:
-                continue
-            code = (mask[i, j] << 3) | (mask[i + 1, j] << 2) \
-                | (mask[i + 1, j + 1] << 1) | int(mask[i, j + 1])
-            pairs = _MS_SEGMENTS[code]
-            if pairs is None:
-                # saddle: the corners on the center's side stay connected
-                center = 0.25 * (f[i, j] + f[i + 1, j] + f[i + 1, j + 1] + f[i, j + 1])
-                if (center > 0) == bool(mask[i, j]):
-                    pairs = (("b", "r"), ("l", "t"))
-                else:
-                    pairs = (("b", "l"), ("t", "r"))
-            local = {
-                "b": ("h", i, j),
-                "t": ("h", i, j + 1),
-                "l": ("v", i, j),
-                "r": ("v", i + 1, j),
-            }
-            for ea, eb in pairs:
-                ia, ib = local[ea], local[eb]
-                if ia in refined and ib in refined:
-                    segments.append((ia, ib))
+    for i, j in np.argwhere(cell_ok & (codes != 0) & (codes != 15)).tolist():
+        pairs = _MS_SEGMENTS[int(codes[i, j])]
+        if pairs is None:
+            # saddle: the corners on the center's side stay connected
+            center = 0.25 * (f[i, j] + f[i + 1, j] + f[i + 1, j + 1] + f[i, j + 1])
+            if (center > 0) == bool(mask[i, j]):
+                pairs = (("b", "r"), ("l", "t"))
+            else:
+                pairs = (("b", "l"), ("t", "r"))
+        local = {
+            "b": i * n2 + j,
+            "t": i * n2 + j + 1,
+            "l": nh + i * (n2 - 1) + j,
+            "r": nh + (i + 1) * (n2 - 1) + j,
+        }
+        segments.extend((local[ea], local[eb]) for ea, eb in pairs)
 
     # drop segments touching non-converged edges; chains split there
-    flagged_nodes = {eid for eid in refined if eid not in good}
     kept = [s for s in segments if s[0] in good and s[1] in good]
     dropped_adjacent = {e for s in segments for e in s
-                        if s[0] in flagged_nodes or s[1] in flagged_nodes}
+                        if s[0] not in good or s[1] not in good}
 
     adj: dict = {}
     for a, b in kept:
@@ -439,46 +418,46 @@ def trace_boundary(chart: StabilityChart,
 
     polylines = []
     for chain, closed in chains:
-        verts = np.array([refined[e][0] for e in chain])
-        resid = np.array([refined[e][1] for e in chain])
+        rows = np.searchsorted(ids, chain)
         flagged = any(e in dropped_adjacent for e in chain)
-        polylines.append(Polyline(vertices=verts, residuals=resid,
+        polylines.append(Polyline(vertices=point[rows], residuals=resid[rows],
                                   closed=closed, flagged=flagged))
 
-    # orient each polyline with the flutter side on the left
+    # orient each polyline with the flutter side on the left, probing 0.35
+    # (or, outside the chart, 0.15) cells left of its first segment; all
+    # probes go to the solver in one batch
     step1 = float(np.min(np.diff(chart.axis1)))
     step2 = float(np.min(np.diff(chart.axis2)))
-    oriented = []
-    for pl in polylines:
+    probes, probed = [], []
+    for k, pl in enumerate(polylines):
         v = pl.vertices
         t = v[1] - v[0]
-        norm = np.hypot(t[0] / step1, t[1] / step2)
-        if norm == 0:
-            oriented.append(pl)
+        if np.hypot(t[0] / step1, t[1] / step2) == 0:
             continue
         left = np.array([-t[1] / step2 * step1, t[0] / step1 * step2])
         left /= max(np.hypot(left[0] / step1, left[1] / step2), 1e-300)
         mp = 0.5 * (v[0] + v[1])
         for frac in (0.35, 0.15):
             probe = mp + frac * left
-            inside = (chart.axis1[0] <= probe[0] <= chart.axis1[-1]
-                      and chart.axis2[0] <= probe[1] <= chart.axis2[-1])
-            if inside:
-                fm = max_re_at_points(chart.model, chart.pert_template,
-                                      chart.plane, probe[None, :])[0]
-                if fm <= 0:
-                    pl = Polyline(vertices=pl.vertices[::-1].copy(),
-                                  residuals=pl.residuals[::-1].copy(),
-                                  closed=pl.closed, flagged=pl.flagged)
+            if (chart.axis1[0] <= probe[0] <= chart.axis1[-1]
+                    and chart.axis2[0] <= probe[1] <= chart.axis2[-1]):
+                probes.append(probe)
+                probed.append(k)
                 break
-        oriented.append(pl)
+    if probes:
+        fm = max_re_at_points(chart.model, chart.pert_template, chart.plane,
+                              np.array(probes))
+        for k in np.array(probed)[fm <= 0]:
+            pl = polylines[k]
+            polylines[k] = Polyline(vertices=pl.vertices[::-1].copy(),
+                                    residuals=pl.residuals[::-1].copy(),
+                                    closed=pl.closed, flagged=pl.flagged)
 
-    oriented.sort(key=lambda p: (tuple(np.round(p.vertices[0], 12)), len(p.vertices)))
-    return tuple(oriented)
+    polylines.sort(key=lambda p: (tuple(np.round(p.vertices[0], 12)), len(p.vertices)))
+    return tuple(polylines)
 
 
-def boundary_slope_at_origin(chart: StabilityChart, kappa: float | None = None,
-                             nu: float | None = None,
+def boundary_slope_at_origin(chart: StabilityChart,
                              cutoff_fraction: float = 0.4,
                              min_vertices: int = 3) -> tuple[float, float]:
     """Slopes Omega/delta of the two boundary branches through the origin.
@@ -486,8 +465,7 @@ def boundary_slope_at_origin(chart: StabilityChart, kappa: float | None = None,
     Uses the smallest-delta vertices of the traced boundary (up to
     ``cutoff_fraction`` of the chart's delta range), splits them into two
     branches at the largest gap in Omega/delta, and fits each branch by
-    least squares through the origin.  ``kappa`` and ``nu`` are accepted
-    for call-site clarity only; the chart already fixes them.
+    least squares through the origin.
     """
     names = chart.plane
     if set(names) != {"Omega", "delta"}:

@@ -39,18 +39,6 @@ def _tag(x: float) -> str:
     return f"{float(x):g}"
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return "nan"
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
-
-
 def _write_atomic(path: Path, text: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
@@ -59,14 +47,19 @@ def _write_atomic(path: Path, text: str) -> Path:
     return path
 
 
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        if row is None:
-            lines.append("")  # block separator between polylines
-        else:
-            lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _table(template: str, *columns) -> str:
+    """Lines of equal-length value columns, one %-template per line.
+
+    ``"%.17g"`` renders a float exactly as ``f"{x:.17g}"`` does, nan, inf
+    and -0 included.  The template is repeated once per line and applied
+    to the interleaved values in a single formatting call.
+    """
+    width = len(columns)
+    count = len(columns[0]) if columns else 0
+    flat = [None] * (width * count)
+    for k, col in enumerate(columns):
+        flat[k::width] = col
+    return (template * count) % tuple(flat)
 
 
 def _build_model(cfg: RunConfig) -> RotorModel:
@@ -96,31 +89,39 @@ def _axis(values: tuple) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _sweep_rows(chart: atlas.StabilityChart):
-    fixed = chart.fixed
-    for i, a1 in enumerate(chart.axis1):
-        for j, a2 in enumerate(chart.axis2):
-            p = dict(fixed)
-            p[chart.plane[0]] = a1
-            p[chart.plane[1]] = a2
-            yield (p["Omega"], p["kappa"], p["delta"], p["nu"],
-                   chart.max_re[i, j], chart.im_at_max[i, j],
-                   chart.class_name(i, j))
+_SWEEP_HEADER = "Omega,kappa,delta,nu,max_re,im_at_max,class"
+_SWEEP_LINE = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
+_BOUNDARY_HEADER = "param1,param2,max_re_residual"
+_CLASS_NAMES = np.array(atlas.CLASS_NAMES, dtype=object)
 
 
-def _boundary_rows(polylines):
-    first = True
-    for pl in polylines:
-        if not first:
-            yield None
-        first = False
-        for v, r in zip(pl.vertices, pl.residuals):
-            yield (v[0], v[1], r)
+def _sweep_text(chart: atlas.StabilityChart) -> str:
+    """Sweep CSV body, formatted one axis-1 row (len(axis2) lines) at a time."""
+    n2 = len(chart.axis2)
+    cols = {name: [float(value)] * n2 for name, value in chart.fixed.items()}
+    cols[chart.plane[1]] = chart.axis2.tolist()
+    blocks = []
+    for i, a1 in enumerate(chart.axis1.tolist()):
+        cols[chart.plane[0]] = [a1] * n2
+        blocks.append(_table(_SWEEP_LINE, *(cols[p] for p in atlas.PARAM_NAMES),
+                             chart.max_re[i].tolist(), chart.im_at_max[i].tolist(),
+                             _CLASS_NAMES[chart.class_codes[i]].tolist()))
+    return "".join(blocks)
 
 
-def _spectrum_rows(spectrum: qep.Spectrum):
-    for lam, res in zip(spectrum.eigenvalues, spectrum.residuals):
-        yield (lam.real, lam.imag, res)
+def _boundary_text(polylines) -> str:
+    """Boundary CSV body: one block per polyline, blank line between blocks."""
+    return "\n".join(
+        _table("%.17g,%.17g,%.17g\n", pl.vertices[:, 0].tolist(),
+               pl.vertices[:, 1].tolist(), pl.residuals.tolist())
+        for pl in polylines)
+
+
+def _points_text(omegas: np.ndarray, eigs: np.ndarray) -> str:
+    """Omega,re,im lines for eigenvalue rows (len(omegas), k)."""
+    return _table("%.17g,%.17g,%.17g\n",
+                  np.repeat(omegas, eigs.shape[1]).tolist(),
+                  eigs.real.ravel().tolist(), eigs.imag.ravel().tolist())
 
 
 def run(cfg: RunConfig, out_dir: str | None = None,
@@ -131,8 +132,8 @@ def run(cfg: RunConfig, out_dir: str | None = None,
     model = _build_model(cfg)
     written: list[Path] = []
 
-    def emit(name: str, header: str, rows):
-        written.append(_write_atomic(out / name, _csv(header, rows)))
+    def emit(name: str, header: str, body: str):
+        written.append(_write_atomic(out / name, header + "\n" + body))
 
     command = cfg.command
     if command == "spectrum":
@@ -140,12 +141,16 @@ def run(cfg: RunConfig, out_dir: str | None = None,
         spectrum = qep.solve_qep(build_pencil(model, pert),
                                  residual_tol=tol.poly_residual,
                                  qep_residual_rtol=tol.qep_residual_rtol)
-        emit("spectrum.csv", "re,im,residual", _spectrum_rows(spectrum))
+        lam = spectrum.eigenvalues
+        emit("spectrum.csv", "re,im,residual",
+             _table("%.17g,%.17g,%.17g\n", lam.real.tolist(), lam.imag.tolist(),
+                    spectrum.residuals.tolist()))
 
     elif command == "mesh":
         rows = [(e.s, e.branch, e.conj, e.value.real, e.value.imag)
                 for e in mesh_spectrum(model, cfg.Omega)]
-        emit("mesh.csv", "s,branch,conj,re,im", rows)
+        emit("mesh.csv", "s,branch,conj,re,im",
+             _table("%d,%s,%d,%.17g,%.17g\n", *zip(*rows)))
 
     elif command == "report":
         pert = _build_template(cfg, tol)
@@ -155,11 +160,14 @@ def run(cfg: RunConfig, out_dir: str | None = None,
         emit("report.csv",
              "Omega,kappa,delta,nu,re_c,im_c,A,beta0,kappa0,omega0,"
              "Omega_cr,B,epsilon,max_re,im_at_max,class",
-             [(cfg.Omega, cfg.kappa, cfg.delta, cfg.nu,
-               rep.c.real, rep.c.imag, rep.A, rep.beta0, rep.kappa0,
-               rep.omega0, rep.Omega_cr_nu, rep.B, rep.epsilon,
-               verdict.max_re, verdict.critical_eigenvalue.imag,
-               verdict.classification)])
+             ("%.17g," * 15) % (
+                 cfg.Omega, cfg.kappa, cfg.delta, cfg.nu,
+                 rep.c.real, rep.c.imag, rep.A, rep.beta0, rep.kappa0,
+                 rep.omega0,
+                 float("nan") if rep.Omega_cr_nu is None else rep.Omega_cr_nu,
+                 rep.B, rep.epsilon, verdict.max_re,
+                 verdict.critical_eigenvalue.imag)
+             + verdict.classification + "\n")
 
     elif command in ("sweep", "boundary"):
         plane = tuple(sorted(cfg.axes, key=list(atlas.PARAM_NAMES).index))
@@ -169,13 +177,11 @@ def run(cfg: RunConfig, out_dir: str | None = None,
                               marginal_rtol=tol.marginal_rtol,
                               poly_residual=tol.poly_residual)
         if command == "sweep":
-            emit("sweep.csv", "Omega,kappa,delta,nu,max_re,im_at_max,class",
-                 _sweep_rows(chart))
+            emit("sweep.csv", _SWEEP_HEADER, _sweep_text(chart))
         else:
             polylines = atlas.trace_boundary(
                 chart, boundary_residual=tol.boundary_residual)
-            emit("boundary.csv", "param1,param2,max_re_residual",
-                 _boundary_rows(polylines))
+            emit("boundary.csv", _BOUNDARY_HEADER, _boundary_text(polylines))
 
     elif command == "ep":
         pert = _build_template(cfg, tol)
@@ -191,20 +197,21 @@ def run(cfg: RunConfig, out_dir: str | None = None,
                  r.certificate.min_gap) for r in found + near]
         emit("ep.csv",
              "kind,Omega,kappa,delta,nu,re,im,disc_rel,rank_deficiency,min_gap",
-             rows)
+             _table("%s" + ",%.17g" * 7 + ",%d,%.17g\n", *zip(*rows)))
 
     elif command == "floquet":
         pert = _build_template(cfg, tol)
         ps = floquet.PeriodicSystem(model, pert)
         result = floquet.monodromy(ps, steps=cfg.floquet_steps,
                                    liouville_rtol=tol.liouville_rtol)
-        rows = [(mu.real, mu.imag, pr.real, pr.imag,
-                 result.match_error, result.liouville_error)
-                for mu, pr in zip(result.multipliers,
-                                  result.predicted_multipliers)]
+        mu, pr = result.multipliers, result.predicted_multipliers
         emit("floquet.csv",
              "multiplier_re,multiplier_im,predicted_re,predicted_im,"
-             "match_error,liouville_error", rows)
+             "match_error,liouville_error",
+             _table("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n",
+                    mu.real.tolist(), mu.imag.tolist(), pr.real.tolist(),
+                    pr.imag.tolist(), [result.match_error] * len(mu),
+                    [result.liouville_error] * len(mu)))
 
     elif command == "fig1":
         omegas = np.linspace(-0.6, 0.6, 241)
@@ -214,16 +221,13 @@ def run(cfg: RunConfig, out_dir: str | None = None,
             eigs, _ = atlas.eigenvalues_at_points(
                 model, pert, ("Omega", "kappa"),
                 np.column_stack([omegas, np.full_like(omegas, pert.kappa)]))
-            rows = [(om, lam.real, lam.imag)
-                    for om, row in zip(omegas, eigs) for lam in row]
-            emit(f"fig1_exact_delta_{tag}.csv", "Omega,re,im", rows)
+            emit(f"fig1_exact_delta_{tag}.csv", "Omega,re,im",
+                 _points_text(omegas, eigs))
             md = perturbation.modal_data(pert.D, pert.K, model.omegas[0])
-            rows = []
-            for om in omegas:
-                lam = perturbation.approx_eigenvalues(
-                    md, om, delta, pert.kappa, pert.nu)
-                rows.extend((om, v.real, v.imag) for v in lam)
-            emit(f"fig1_approx_delta_{tag}.csv", "Omega,re,im", rows)
+            approx = np.array([perturbation.approx_eigenvalues(
+                md, om, delta, pert.kappa, pert.nu) for om in omegas])
+            emit(f"fig1_approx_delta_{tag}.csv", "Omega,re,im",
+                 _points_text(omegas, approx))
 
     elif command == "fig2":
         for label, D, sign in _FIG2_VARIANTS:
@@ -242,13 +246,11 @@ def run(cfg: RunConfig, out_dir: str | None = None,
                                    np.linspace(klo, khi, 201)),
                                   marginal_rtol=tol.marginal_rtol,
                                   poly_residual=tol.poly_residual)
-            emit(f"fig2{label}_sweep.csv",
-                 "Omega,kappa,delta,nu,max_re,im_at_max,class",
-                 _sweep_rows(chart))
+            emit(f"fig2{label}_sweep.csv", _SWEEP_HEADER, _sweep_text(chart))
             polylines = atlas.trace_boundary(
                 chart, boundary_residual=tol.boundary_residual)
-            emit(f"fig2{label}_boundary.csv", "param1,param2,max_re_residual",
-                 _boundary_rows(polylines))
+            emit(f"fig2{label}_boundary.csv", _BOUNDARY_HEADER,
+                 _boundary_text(polylines))
 
     elif command == "fig3":
         (olo, ohi), (klo, khi) = _FIG3_WINDOW
@@ -260,13 +262,11 @@ def run(cfg: RunConfig, out_dir: str | None = None,
                                   marginal_rtol=tol.marginal_rtol,
                                   poly_residual=tol.poly_residual)
             tag = _tag(delta)
-            emit(f"fig3_sweep_delta_{tag}.csv",
-                 "Omega,kappa,delta,nu,max_re,im_at_max,class",
-                 _sweep_rows(chart))
+            emit(f"fig3_sweep_delta_{tag}.csv", _SWEEP_HEADER, _sweep_text(chart))
             polylines = atlas.trace_boundary(
                 chart, boundary_residual=tol.boundary_residual)
-            emit(f"fig3_boundary_delta_{tag}.csv",
-                 "param1,param2,max_re_residual", _boundary_rows(polylines))
+            emit(f"fig3_boundary_delta_{tag}.csv", _BOUNDARY_HEADER,
+                 _boundary_text(polylines))
 
     else:  # pragma: no cover - parse_config already rejects unknown commands
         raise ConfigError(f"unhandled command {command!r}")

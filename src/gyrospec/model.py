@@ -165,10 +165,6 @@ class QuadraticPencil:
     def size(self) -> int:
         return self.damping_total.shape[0]
 
-    @property
-    def mass(self) -> np.ndarray:
-        return np.eye(self.size)
-
     def __call__(self, lam: complex) -> np.ndarray:
         """Evaluate L(lambda)."""
         return (lam * lam) * np.eye(self.size) + lam * self.damping_total \

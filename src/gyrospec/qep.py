@@ -132,6 +132,9 @@ def scaled_residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.abs(p) / scale
 
 
+# overflow and NaN in a row that does not converge show in its residual,
+# not as numpy warnings
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def roots_batch(coeffs: np.ndarray, max_iter: int = _MAX_ITER) -> tuple[np.ndarray, np.ndarray]:
     """All roots of a batch of real polynomials (n, d+1), leading coeff nonzero.
 

@@ -1,16 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import FIG_D, FIG_K
-from gyrospec.atlas import (CLASS_NAMES, boundary_slope_at_origin, classify,
+from gyrospec import atlas
+from gyrospec.atlas import (CLASS_NAMES, StabilityChart,
+                            boundary_slope_at_origin, classify,
                             eigenvalues_at_points, find_exceptional_points,
                             max_re_at_points, sweep2d, trace_boundary)
 from gyrospec.qep import char_poly, companion_matrix, poly_roots, solve_qep
 from gyrospec.errors import (ConvergenceError, InsufficientResolutionError,
                              ShapeError)
 from gyrospec.model import PerturbationSet, RotorModel, build_pencil
+from gyrospec.tolerances import DEFAULT
 from gyrospec.perturbation import (beta0, criterion_B, ep_location,
                                    invariant_A, modal_data)
 
@@ -223,10 +227,12 @@ class TestNonFiniteResiduals:
 
     def test_solver_gates_raise(self):
         pen = build_pencil(self.model, self.pert)
-        with pytest.raises(ConvergenceError):
-            solve_qep(pen, want_vectors=False)
-        with pytest.raises(ConvergenceError):
-            poly_roots(char_poly(pen))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the gates raise, numpy stays quiet
+            with pytest.raises(ConvergenceError):
+                solve_qep(pen, want_vectors=False)
+            with pytest.raises(ConvergenceError):
+                poly_roots(char_poly(pen))
 
     def test_sweep_cells_are_errors(self):
         chart = sweep2d(self.model, self.pert, ("Omega", "delta"),
@@ -298,6 +304,111 @@ class TestTraceBoundary:
             f = max_re_at_points(chart.model, chart.pert_template,
                                  chart.plane, pl.vertices)
             assert np.abs(f).max() < 1e-9
+
+
+class TestTraceAnalyticField:
+    """trace_boundary on g = cos(2x) cos(3y) - 0.01 in place of max Re, with
+    failed (NaN) nodes: the positive lobes are convex and nearly touch at
+    the saddles of cos cos, so saddle cells of both resolutions occur."""
+
+    axis1 = np.linspace(-2.6, 2.3, 29)
+    axis2 = np.linspace(-1.7, 1.4, 23)
+
+    @staticmethod
+    def field(pts):
+        pts = np.asarray(pts, dtype=float)
+        return np.cos(2.0 * pts[:, 0]) * np.cos(3.0 * pts[:, 1]) - 0.01
+
+    def chart(self):
+        P1, P2 = np.meshgrid(self.axis1, self.axis2, indexing="ij")
+        f = self.field(np.column_stack([P1.ravel(), P2.ravel()])).reshape(P1.shape)
+        # fail every fifth node next to a sign change, at least three nodes
+        # apart and two from the frame, so that every edge between finite
+        # nodes still borders a cell with four finite corners
+        sign = f > 0
+        nan_nodes = []
+        for i in range(2, f.shape[0] - 2):
+            for j in range(2, f.shape[1] - 2):
+                nbrs = (sign[i - 1, j], sign[i + 1, j], sign[i, j - 1], sign[i, j + 1])
+                if any(b != sign[i, j] for b in nbrs) and not any(
+                        abs(i - a) <= 2 and abs(j - b) <= 2 for a, b in nan_nodes):
+                    nan_nodes.append((i, j))
+        nan_nodes = nan_nodes[::5]
+        for i, j in nan_nodes:
+            f[i, j] = np.nan
+        z = np.zeros(f.shape)
+        pert = PerturbationSet(D=np.zeros((2, 2)), K=np.zeros((2, 2)))
+        chart = StabilityChart(
+            plane=("Omega", "kappa"), fixed={"delta": 0.0, "nu": 0.0},
+            axis1=self.axis1, axis2=self.axis2, max_re=f, im_at_max=z,
+            class_codes=z.astype(np.int8), errors=(), model=RotorModel((1.0,)),
+            pert_template=pert, marginal_rtol=1e-9)
+        return chart, nan_nodes
+
+    def edge_of(self, v):
+        """Grid edge (("h" | "v"), i, j) that a vertex lies on."""
+        a1, a2 = self.axis1, self.axis2
+        if np.any(a2 == v[1]):
+            i = int(np.searchsorted(a1, v[0])) - 1
+            assert a1[i] < v[0] < a1[i + 1]
+            return ("h", i, int(np.nonzero(a2 == v[1])[0][0]))
+        assert np.any(a1 == v[0])
+        j = int(np.searchsorted(a2, v[1])) - 1
+        assert a2[j] < v[1] < a2[j + 1]
+        return ("v", int(np.nonzero(a1 == v[0])[0][0]), j)
+
+    def test_failed_nodes_and_saddles(self, monkeypatch):
+        monkeypatch.setattr(atlas, "max_re_at_points",
+                            lambda model, pert, plane, pts: self.field(pts))
+        chart, nan_nodes = self.chart()
+        f = chart.max_re
+        ok = ~np.isnan(f)
+        sign = ok & (f > 0)
+        n1, n2 = f.shape
+
+        # preconditions: saddle cells of both resolutions, failed nodes on
+        # the boundary
+        m = sign.astype(int)
+        codes = (m[:-1, :-1] << 3) | (m[1:, :-1] << 2) | (m[1:, 1:] << 1) | m[:-1, 1:]
+        finite_cell = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
+        saddle = finite_cell & ((codes == 0b0101) | (codes == 0b1010))
+        center = 0.25 * (f[:-1, :-1] + f[1:, :-1] + f[1:, 1:] + f[:-1, 1:])
+        keep_first = (center > 0) == sign[:-1, :-1]
+        assert (saddle & keep_first).any() and (saddle & ~keep_first).any()
+        assert len(nan_nodes) >= 3
+
+        crossing = set()
+        for i in range(n1 - 1):
+            for j in range(n2):
+                if ok[i, j] and ok[i + 1, j] and sign[i, j] != sign[i + 1, j]:
+                    crossing.add(("h", i, j))
+        for i in range(n1):
+            for j in range(n2 - 1):
+                if ok[i, j] and ok[i, j + 1] and sign[i, j] != sign[i, j + 1]:
+                    crossing.add(("v", i, j))
+
+        polys = trace_boundary(chart)
+        on_edge = []
+        for pl in polys:
+            verts = pl.vertices[:-1] if pl.closed else pl.vertices
+            on_edge += [self.edge_of(v) for v in verts]
+            assert not pl.flagged
+            # |g| below the bisection tolerance at every vertex
+            assert np.abs(self.field(pl.vertices)).max() < DEFAULT.boundary_residual
+            # g > 0 a twentieth of a cell left of every segment
+            step = np.array([self.axis1[1] - self.axis1[0],
+                             self.axis2[1] - self.axis2[0]])
+            t = np.diff(pl.vertices, axis=0) / step
+            left = np.column_stack([-t[:, 1], t[:, 0]])
+            left /= np.hypot(left[:, 0], left[:, 1])[:, None]
+            mid = 0.5 * (pl.vertices[1:] + pl.vertices[:-1])
+            assert (self.field(mid + 0.05 * left * step) > 0).all()
+
+        # one vertex on every edge between finite nodes of opposite sign,
+        # none on an edge that touches a failed node
+        assert sorted(on_edge) == sorted(crossing)
+        for kind, i, j in on_edge:
+            assert ok[i, j] and (ok[i + 1, j] if kind == "h" else ok[i, j + 1])
 
 
 class TestBoundarySlopes:

@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from gyrospec import atlas
 from gyrospec.cli import main, run
 from gyrospec.config import parse_config
+from gyrospec.model import PerturbationSet, RotorModel
+from gyrospec.perturbation import perturbation_report
 
 FIG1B_REPORT = """
 command = report
@@ -103,6 +108,89 @@ class TestRun:
         header, rows = read_rows(files[0])
         assert header == ["Omega", "re", "im"]
         assert len(rows) == 241 * 4
+
+
+class TestCsvFormat:
+    """CSV text against a rendering built value by value: f"{x:.17g}" per
+    number, "nan" for None, strings as they are."""
+
+    CHART = ("command = {}\nmodel.n = 1\nmodel.omegas = 1.0\n"
+             "matrices.D = -1,0,0,2\nmatrices.K = 1,1,1,2\n"
+             "gains.delta = 0.3\ngains.nu = -0.0\n"
+             "axes.Omega = -0.4:0.4:{}\naxes.kappa = -0.2:0.2:{}\n")
+
+    @staticmethod
+    def lines(rows):
+        def fmt(x):
+            if isinstance(x, str):
+                return x
+            return "nan" if x is None else f"{float(x):.17g}"
+        return "".join(",".join(map(fmt, row)) + "\n" for row in rows)
+
+    def test_sweep(self, tmp_path, monkeypatch):
+        charts = []
+
+        def doctored(*args, **kwargs):
+            # every class name, ERROR cells with NaN, and -0.0 values
+            chart = sweep2d(*args, **kwargs)
+            n1, n2 = chart.max_re.shape
+            codes = np.arange(n1 * n2).reshape(n1, n2) % len(atlas.CLASS_NAMES)
+            max_re, im = chart.max_re.copy(), chart.im_at_max.copy()
+            error = codes == atlas.CLASS_NAMES.index(atlas.ERROR)
+            max_re[error] = im[error] = np.nan
+            max_re[0, 0] = im[0, 1] = -0.0
+            charts.append(replace(chart, max_re=max_re, im_at_max=im,
+                                  class_codes=codes.astype(np.int8)))
+            return charts[-1]
+
+        sweep2d = atlas.sweep2d
+        monkeypatch.setattr(atlas, "sweep2d", doctored)
+        path = run(parse_config(self.CHART.format("sweep", 6, 4)),
+                   out_dir=str(tmp_path))[0]
+        chart, = charts
+        rows = []
+        for i in range(len(chart.axis1)):
+            for j in range(len(chart.axis2)):
+                p = chart.cell_params(i, j)
+                rows.append((p["Omega"], p["kappa"], p["delta"], p["nu"],
+                             chart.max_re[i, j], chart.im_at_max[i, j],
+                             chart.class_name(i, j)))
+        text = path.read_text()
+        assert text == ("Omega,kappa,delta,nu,max_re,im_at_max,class\n"
+                        + self.lines(rows))
+        assert ",-0," in text and ",nan,nan,error\n" in text
+        assert {r[-1] for r in rows} == set(atlas.CLASS_NAMES)
+
+    def test_boundary(self, tmp_path):
+        path = run(parse_config(self.CHART.format("boundary", 31, 21)),
+                   out_dir=str(tmp_path))[0]
+        chart = atlas.sweep2d(RotorModel((1.0,)),
+                              PerturbationSet(D=np.diag([-1.0, 2.0]),
+                                              K=np.array([[1.0, 1], [1, 2]]),
+                                              delta=0.3, nu=-0.0),
+                              ("Omega", "kappa"),
+                              (np.linspace(-0.4, 0.4, 31), np.linspace(-0.2, 0.2, 21)))
+        polylines = atlas.trace_boundary(chart)
+        assert len(polylines) == 2
+        blocks = [self.lines((v[0], v[1], r) for v, r in zip(pl.vertices, pl.residuals))
+                  for pl in polylines]
+        assert path.read_text() == "param1,param2,max_re_residual\n" + "\n".join(blocks)
+
+    def test_report_with_none(self, tmp_path):
+        cfg = parse_config(FIG1B_REPORT.replace("D = -1,0,0,2", "D = 1,0,0,2"))
+        path = run(cfg, out_dir=str(tmp_path))[0]
+        pert = PerturbationSet(D=np.diag([1.0, 2.0]), K=np.array([[1.0, 1], [1, 2]]),
+                               delta=0.3, kappa=0.2)
+        rep = perturbation_report(RotorModel((1.0,)), pert)
+        verdict = atlas.classify(RotorModel((1.0,)), pert)
+        assert rep.Omega_cr_nu is None
+        row = (cfg.Omega, cfg.kappa, cfg.delta, cfg.nu, rep.c.real, rep.c.imag,
+               rep.A, rep.beta0, rep.kappa0, rep.omega0, rep.Omega_cr_nu, rep.B,
+               rep.epsilon, verdict.max_re, verdict.critical_eigenvalue.imag,
+               verdict.classification)
+        header = ("Omega,kappa,delta,nu,re_c,im_c,A,beta0,kappa0,omega0,"
+                  "Omega_cr,B,epsilon,max_re,im_at_max,class")
+        assert path.read_text() == header + "\n" + self.lines([row])
 
 
 class TestFigurePresets:
