@@ -1,8 +1,8 @@
 """Stability charts: grid classification, flutter boundaries, singular points.
 
 Sweeps classify each node of a 2-D parameter grid with the exact solver,
-boundaries are extracted as the max Re lambda = 0 level set (marching
-squares with per-edge bisection refinement against the exact spectrum),
+boundaries between unstable and stable nodes are traced by oriented
+marching squares with per-edge bisection against the exact spectrum,
 and coalescing eigenvalues are located by minimizing the characteristic
 discriminant and certified through the rank of L(lambda0).
 """
@@ -273,25 +273,29 @@ def sweep2d(model: RotorModel, pert_template: PerturbationSet,
     )
 
 
-# marching-squares segment table: for each cell the crossed edge pairs.
-# Corner bit order (c00, c10, c11, c01); edges named b(ottom) t(op) l(eft)
-# r(ight) where bottom/top are axis2 = const rows of the cell.
+# Oriented marching squares.  A cell's corners, walked counter-clockwise in
+# bit order (c00, c10, c11, c01), pass over its edges b, r, t, l (bottom and
+# top are axis2 = const rows).  A segment starts on an edge where the walk
+# passes from an unstable corner to a stable one and ends where it passes
+# back, so the unstable corners lie on its left.
 _MS_SEGMENTS = {
-    0b0000: (), 0b1111: (),
-    0b0001: (("l", "t"),), 0b1110: (("l", "t"),),
-    0b0010: (("t", "r"),), 0b1101: (("t", "r"),),
-    0b0100: (("r", "b"),), 0b1011: (("r", "b"),),
-    0b1000: (("b", "l"),), 0b0111: (("b", "l"),),
-    0b0011: (("l", "r"),), 0b1100: (("l", "r"),),
-    0b1001: (("b", "t"),), 0b0110: (("b", "t"),),
-    # saddles resolved at runtime via the cell-center value
-    0b0101: None, 0b1010: None,
+    0b0001: (("l", "t"),), 0b1110: (("t", "l"),),
+    0b0010: (("t", "r"),), 0b1101: (("r", "t"),),
+    0b0100: (("r", "b"),), 0b1011: (("b", "r"),),
+    0b1000: (("b", "l"),), 0b0111: (("l", "b"),),
+    0b0011: (("l", "r"),), 0b1100: (("r", "l"),),
+    0b1001: (("b", "t"),), 0b0110: (("t", "b"),),
 }
+# saddles: (pairs if the cell-center mean is stable, pairs if unstable)
+_MS_SADDLES = {
+    0b0101: ((("r", "b"), ("l", "t")), (("r", "t"), ("l", "b"))),
+    0b1010: ((("b", "l"), ("t", "r")), (("b", "r"), ("t", "l"))),
+}
+_MAX_BISECT = 90
 
 
-def _refine_edges(chart: StabilityChart, lo, hi, flo, boundary_residual,
-                  max_bisect):
-    """Bisect all crossing edges (end points lo, hi (E, 2), max Re flo at lo)
+def _refine_edges(chart: StabilityChart, lo, hi, flo, boundary_residual):
+    """Bisect all boundary edges (end points lo, hi (E, 2), max Re flo at lo)
     in lockstep against the exact spectrum.
 
     Returns (points (E, 2), residuals (E,), converged (E,)).
@@ -299,7 +303,7 @@ def _refine_edges(chart: StabilityChart, lo, hi, flo, boundary_residual,
     resid = np.full(len(lo), np.inf)
     point = 0.5 * (lo + hi)
     done = np.zeros(len(lo), dtype=bool)
-    for _ in range(max_bisect):
+    for _ in range(_MAX_BISECT):
         active = ~done
         if not active.any():
             break
@@ -318,52 +322,40 @@ def _refine_edges(chart: StabilityChart, lo, hi, flo, boundary_residual,
 
 
 def trace_boundary(chart: StabilityChart,
-                   boundary_residual: float = DEFAULT.boundary_residual,
-                   max_bisect: int = 90) -> tuple[Polyline, ...]:
-    """Extract the max Re lambda = 0 level set as refined polylines.
+                   boundary_residual: float = DEFAULT.boundary_residual
+                   ) -> tuple[Polyline, ...]:
+    """Trace the boundary between the chart's unstable and stable nodes.
 
-    Marching squares over the chart cells; every crossing is sharpened by
+    Oriented marching squares over the cells whose four corners are
+    decided (stable, flutter or divergence); marginal and ERROR nodes
+    carry no segment.  Every edge a segment uses is sharpened by
     bisection against the exact spectrum until |max Re| falls below
-    ``boundary_residual``.  Polylines are oriented with the flutter side
-    on the left and are either closed or terminate on the chart frame.
+    ``boundary_residual``.  The unstable (flutter or divergence) side is
+    on the left of every polyline.  A polyline is closed, ends on the
+    chart frame or ends next to an undecided node; one that ends at an
+    edge whose bisection did not converge is ``flagged``.
     """
     f = chart.max_re
     a1, a2 = chart.axis1, chart.axis2
     n1, n2 = f.shape
-    ok = ~np.isnan(f)
-    mask = ok & (f > 0)
+    cls = chart.class_codes
+    unstable = np.isin(cls, (CLASS_NAMES.index(FLUTTER), CLASS_NAMES.index(DIVERGENCE)))
+    decided = unstable | (cls == CLASS_NAMES.index(ASYMPTOTICALLY_STABLE))
 
-    # crossing edges, skipping any edge touching a failed cell.  Edge ids:
-    # (i, j)-(i+1, j) is i * n2 + j, (i, j)-(i, j+1) is nh + i * (n2-1) + j;
-    # ids ascend in (kind, i, j) order, which sets the chain walk's ties.
+    # directed segments as pairs of edge ids: (i, j)-(i+1, j) is i * n2 + j,
+    # (i, j)-(i, j+1) is nh + i * (n2-1) + j
     nh = (n1 - 1) * n2
-    h_i, h_j = np.nonzero((mask[:-1] != mask[1:]) & ok[:-1] & ok[1:])
-    v_i, v_j = np.nonzero((mask[:, :-1] != mask[:, 1:]) & ok[:, :-1] & ok[:, 1:])
-    ids = np.concatenate([h_i * n2 + h_j, nh + v_i * (n2 - 1) + v_j])
-    lo = np.column_stack([np.concatenate([a1[h_i], a1[v_i]]),
-                          np.concatenate([a2[h_j], a2[v_j]])])
-    hi = np.column_stack([np.concatenate([a1[h_i + 1], a1[v_i]]),
-                          np.concatenate([a2[h_j], a2[v_j + 1]])])
-    flo = np.concatenate([f[h_i, h_j], f[v_i, v_j]])
-    point, resid, done = _refine_edges(chart, lo, hi, flo, boundary_residual,
-                                       max_bisect)
-    good = set(ids[done].tolist())
-
-    # build segments in the cells with four finite corners that the level
-    # set crosses
-    m = mask.astype(np.int8)
+    m = unstable.astype(np.int8)
     codes = (m[:-1, :-1] << 3) | (m[1:, :-1] << 2) | (m[1:, 1:] << 1) | m[:-1, 1:]
-    cell_ok = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
+    cell_ok = decided[:-1, :-1] & decided[1:, :-1] & decided[1:, 1:] & decided[:-1, 1:]
     segments = []
     for i, j in np.argwhere(cell_ok & (codes != 0) & (codes != 15)).tolist():
-        pairs = _MS_SEGMENTS[int(codes[i, j])]
-        if pairs is None:
-            # saddle: the corners on the center's side stay connected
+        code = int(codes[i, j])
+        if code in _MS_SADDLES:
             center = 0.25 * (f[i, j] + f[i + 1, j] + f[i + 1, j + 1] + f[i, j + 1])
-            if (center > 0) == bool(mask[i, j]):
-                pairs = (("b", "r"), ("l", "t"))
-            else:
-                pairs = (("b", "l"), ("t", "r"))
+            pairs = _MS_SADDLES[code][int(center > 0)]
+        else:
+            pairs = _MS_SEGMENTS[code]
         local = {
             "b": i * n2 + j,
             "t": i * n2 + j + 1,
@@ -372,87 +364,43 @@ def trace_boundary(chart: StabilityChart,
         }
         segments.extend((local[ea], local[eb]) for ea, eb in pairs)
 
+    # bisect the edges the segments use, each from its (i, j) end
+    ids = np.unique(np.array(segments, dtype=np.int64))
+    h = ids < nh
+    ei = np.where(h, ids // n2, (ids - nh) // (n2 - 1))
+    ej = np.where(h, ids % n2, (ids - nh) % (n2 - 1))
+    lo = np.column_stack([a1[ei], a2[ej]])
+    hi = np.column_stack([a1[ei + h], a2[ej + ~h]])
+    point, resid, done = _refine_edges(chart, lo, hi, f[ei, ej], boundary_residual)
+
     # drop segments touching non-converged edges; chains split there
+    good = set(ids[done].tolist())
     kept = [s for s in segments if s[0] in good and s[1] in good]
-    dropped_adjacent = {e for s in segments for e in s
-                        if s[0] not in good or s[1] not in good}
+    dropped = {e for s in segments for e in s
+               if s[0] not in good or s[1] not in good}
 
-    adj: dict = {}
-    for a, b in kept:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    for v in adj.values():
-        v.sort()
+    # every edge starts at most one segment and ends at most one: open
+    # chains start at edges no segment ends on, closed ones at their
+    # smallest edge id
+    nxt = dict(kept)
 
-    visited_pairs = set()
-
-    def walk(start):
+    def follow(start):
         chain = [start]
-        prev = None
-        node = start
-        while True:
-            nexts = [m for m in adj[node]
-                     if (node, m) not in visited_pairs and m != prev]
-            if not nexts:
-                return chain, False
-            nxt = nexts[0]
-            visited_pairs.add((node, nxt))
-            visited_pairs.add((nxt, node))
-            chain.append(nxt)
-            if nxt == start:
-                return chain, True
-            prev, node = node, nxt
+        while chain[-1] in nxt:
+            chain.append(nxt.pop(chain[-1]))
+        return chain
 
-    chains = []
-    endpoints = sorted(eid for eid, nb in adj.items() if len(nb) == 1)
-    for eid in endpoints:
-        if any((eid, m) not in visited_pairs for m in adj[eid]):
-            chain, closed = walk(eid)
-            if len(chain) >= 2:
-                chains.append((chain, closed))
-    for eid in sorted(adj):
-        if any((eid, m) not in visited_pairs for m in adj[eid]):
-            chain, closed = walk(eid)
-            if len(chain) >= 2:
-                chains.append((chain, closed))
+    chains = [follow(e) for e in sorted(set(nxt) - set(nxt.values()))]
+    for e in sorted(nxt):
+        if e in nxt:
+            chains.append(follow(e))
 
     polylines = []
-    for chain, closed in chains:
+    for chain in chains:
         rows = np.searchsorted(ids, chain)
-        flagged = any(e in dropped_adjacent for e in chain)
         polylines.append(Polyline(vertices=point[rows], residuals=resid[rows],
-                                  closed=closed, flagged=flagged))
-
-    # orient each polyline with the flutter side on the left, probing 0.35
-    # (or, outside the chart, 0.15) cells left of its first segment; all
-    # probes go to the solver in one batch
-    step1 = float(np.min(np.diff(chart.axis1)))
-    step2 = float(np.min(np.diff(chart.axis2)))
-    probes, probed = [], []
-    for k, pl in enumerate(polylines):
-        v = pl.vertices
-        t = v[1] - v[0]
-        if np.hypot(t[0] / step1, t[1] / step2) == 0:
-            continue
-        left = np.array([-t[1] / step2 * step1, t[0] / step1 * step2])
-        left /= max(np.hypot(left[0] / step1, left[1] / step2), 1e-300)
-        mp = 0.5 * (v[0] + v[1])
-        for frac in (0.35, 0.15):
-            probe = mp + frac * left
-            if (chart.axis1[0] <= probe[0] <= chart.axis1[-1]
-                    and chart.axis2[0] <= probe[1] <= chart.axis2[-1]):
-                probes.append(probe)
-                probed.append(k)
-                break
-    if probes:
-        fm = max_re_at_points(chart.model, chart.pert_template, chart.plane,
-                              np.array(probes))
-        for k in np.array(probed)[fm <= 0]:
-            pl = polylines[k]
-            polylines[k] = Polyline(vertices=pl.vertices[::-1].copy(),
-                                    residuals=pl.residuals[::-1].copy(),
-                                    closed=pl.closed, flagged=pl.flagged)
-
+                                  closed=chain[0] == chain[-1],
+                                  flagged=chain[0] in dropped or chain[-1] in dropped))
     polylines.sort(key=lambda p: (tuple(np.round(p.vertices[0], 12)), len(p.vertices)))
     return tuple(polylines)
 

@@ -18,8 +18,6 @@ class Tolerances:
     cluster_rtol: float = 1e-6
     # eigenpair residual ||L(lambda)u|| <= tol * (1+|lambda|^2) * ||S||
     qep_residual_rtol: float = 1e-8
-    # conjugate-closure pairing distance for real pencils
-    conj_closure: float = 1e-10
     # stability classification margin, relative to spectral scale
     marginal_rtol: float = 1e-8
     # |max Re lambda| at refined boundary vertices

@@ -306,6 +306,67 @@ class TestTraceBoundary:
             assert np.abs(f).max() < 1e-9
 
 
+def unstable_right(chart, polys):
+    """Whether the point a twentieth of a cell right of each segment's
+    midpoint is unstable (max Re above the marginal band)."""
+    step = np.array([chart.axis1[1] - chart.axis1[0],
+                     chart.axis2[1] - chart.axis2[0]])
+    probes = []
+    for pl in polys:
+        t = np.diff(pl.vertices, axis=0) / step
+        right = np.column_stack([t[:, 1], -t[:, 0]])
+        right /= np.hypot(right[:, 0], right[:, 1])[:, None]
+        mid = 0.5 * (pl.vertices[1:] + pl.vertices[:-1])
+        probes.append(mid + 0.05 * right * step)
+    eigs, _ = eigenvalues_at_points(chart.model, chart.pert_template,
+                                    chart.plane, np.vstack(probes))
+    tol = chart.marginal_rtol * np.maximum(1.0, np.abs(eigs).max(axis=1))
+    return ~(eigs.real.max(axis=1) <= tol)
+
+
+class TestTraceHardCases:
+    """Boundaries that leave the frame at a shallow angle, islands thinner
+    than a cell and an exactly marginal frame row."""
+
+    def test_shallow_frame_exit(self, model1):
+        D = np.diag([-0.903642858178624, 2.1870028558436427])
+        K = np.array([[1.0732767344508272, 1.0722702570258102],
+                      [1.0722702570258102, 2.0591142854145557]])
+        pert = PerturbationSet(D=D, K=K, delta=0.2907969982013642,
+                               nu=0.11606376382545815)
+        om, ka = 0.4184181963662975, 0.21154344453764284
+        chart = sweep2d(model1, pert, ("Omega", "kappa"),
+                        (np.linspace(-om, om, 101), np.linspace(-ka, ka, 101)))
+        polys = trace_boundary(chart)
+        assert polys
+        assert not unstable_right(chart, polys).any()
+
+    def test_umbrella_pocket_islands(self, model1):
+        D = np.diag([-0.9732311753749728, 1.8924862514104772])
+        K = np.array([[1.0452165418666606, 0.9355886256368973],
+                      [0.9355886256368973, 1.980233428193483]])
+        pert = PerturbationSet(D=D, K=K, nu=0.19509079375918845,
+                               kappa=0.18882093718188722)
+        om = 0.012304794628829817
+        chart = sweep2d(model1, pert, ("Omega", "delta"),
+                        (np.linspace(-om, om, 201),
+                         np.linspace(0.0, 0.020212063568636127, 101)))
+        polys = trace_boundary(chart)
+        assert any(pl.closed for pl in polys)
+        assert not unstable_right(chart, polys).any()
+
+    def test_marginal_row(self, model1):
+        # at delta = kappa = nu = 0 the spectrum is purely imaginary: the
+        # delta = 0 row is marginal and carries no boundary
+        pert = PerturbationSet(D=FIG_D, K=FIG_K)
+        chart = sweep2d(model1, pert, ("Omega", "delta"),
+                        (np.linspace(-0.45, 0.45, 41), np.linspace(0.0, 0.4, 21)))
+        polys = trace_boundary(chart)
+        assert len(polys) == 2
+        assert all((pl.vertices[:, 1] > 0).all() for pl in polys)
+        assert not unstable_right(chart, polys).any()
+
+
 class TestTraceAnalyticField:
     """trace_boundary on g = cos(2x) cos(3y) - 0.01 in place of max Re, with
     failed (NaN) nodes: the positive lobes are convex and nearly touch at
@@ -319,16 +380,17 @@ class TestTraceAnalyticField:
         pts = np.asarray(pts, dtype=float)
         return np.cos(2.0 * pts[:, 0]) * np.cos(3.0 * pts[:, 1]) - 0.01
 
-    def chart(self):
+    def chart(self, margin=2):
         P1, P2 = np.meshgrid(self.axis1, self.axis2, indexing="ij")
         f = self.field(np.column_stack([P1.ravel(), P2.ravel()])).reshape(P1.shape)
         # fail every fifth node next to a sign change, at least three nodes
-        # apart and two from the frame, so that every edge between finite
-        # nodes still borders a cell with four finite corners
+        # apart and ``margin`` from the frame; at the default margin of two
+        # every edge between finite nodes still borders a cell with four
+        # finite corners
         sign = f > 0
         nan_nodes = []
-        for i in range(2, f.shape[0] - 2):
-            for j in range(2, f.shape[1] - 2):
+        for i in range(margin, f.shape[0] - margin):
+            for j in range(margin, f.shape[1] - margin):
                 nbrs = (sign[i - 1, j], sign[i + 1, j], sign[i, j - 1], sign[i, j + 1])
                 if any(b != sign[i, j] for b in nbrs) and not any(
                         abs(i - a) <= 2 and abs(j - b) <= 2 for a, b in nan_nodes):
@@ -336,13 +398,17 @@ class TestTraceAnalyticField:
         nan_nodes = nan_nodes[::5]
         for i, j in nan_nodes:
             f[i, j] = np.nan
-        z = np.zeros(f.shape)
+        # class codes as sweep2d would give them for this field
+        codes = np.where(np.isnan(f), CLASS_NAMES.index("error"),
+                         np.where(f > 0, CLASS_NAMES.index("flutter"),
+                                  CLASS_NAMES.index("asymptotically_stable")))
         pert = PerturbationSet(D=np.zeros((2, 2)), K=np.zeros((2, 2)))
         chart = StabilityChart(
             plane=("Omega", "kappa"), fixed={"delta": 0.0, "nu": 0.0},
-            axis1=self.axis1, axis2=self.axis2, max_re=f, im_at_max=z,
-            class_codes=z.astype(np.int8), errors=(), model=RotorModel((1.0,)),
-            pert_template=pert, marginal_rtol=1e-9)
+            axis1=self.axis1, axis2=self.axis2, max_re=f,
+            im_at_max=np.zeros(f.shape), class_codes=codes.astype(np.int8),
+            errors=(), model=RotorModel((1.0,)), pert_template=pert,
+            marginal_rtol=1e-9)
         return chart, nan_nodes
 
     def edge_of(self, v):
@@ -357,14 +423,34 @@ class TestTraceAnalyticField:
         assert a2[j] < v[1] < a2[j + 1]
         return ("v", int(np.nonzero(a1 == v[0])[0][0]), j)
 
+    @staticmethod
+    def crossings(f):
+        """Edges between finite nodes of opposite sign."""
+        ok = ~np.isnan(f)
+        sign = ok & (f > 0)
+        h = ok[:-1] & ok[1:] & (sign[:-1] != sign[1:])
+        v = ok[:, :-1] & ok[:, 1:] & (sign[:, :-1] != sign[:, 1:])
+        return ({("h", i, j) for i, j in np.argwhere(h).tolist()}
+                | {("v", i, j) for i, j in np.argwhere(v).tolist()})
+
+    def trace(self, monkeypatch, chart):
+        """trace_boundary on the field; also returns the edges whose
+        midpoints went to the first solver call (the first bisection step)."""
+        calls = []
+
+        def field(model, pert, plane, pts):
+            calls.append(np.array(pts))
+            return self.field(pts)
+
+        monkeypatch.setattr(atlas, "max_re_at_points", field)
+        polys = trace_boundary(chart)
+        return polys, sorted(self.edge_of(p) for p in calls[0])
+
     def test_failed_nodes_and_saddles(self, monkeypatch):
-        monkeypatch.setattr(atlas, "max_re_at_points",
-                            lambda model, pert, plane, pts: self.field(pts))
         chart, nan_nodes = self.chart()
         f = chart.max_re
         ok = ~np.isnan(f)
         sign = ok & (f > 0)
-        n1, n2 = f.shape
 
         # preconditions: saddle cells of both resolutions, failed nodes on
         # the boundary
@@ -377,17 +463,8 @@ class TestTraceAnalyticField:
         assert (saddle & keep_first).any() and (saddle & ~keep_first).any()
         assert len(nan_nodes) >= 3
 
-        crossing = set()
-        for i in range(n1 - 1):
-            for j in range(n2):
-                if ok[i, j] and ok[i + 1, j] and sign[i, j] != sign[i + 1, j]:
-                    crossing.add(("h", i, j))
-        for i in range(n1):
-            for j in range(n2 - 1):
-                if ok[i, j] and ok[i, j + 1] and sign[i, j] != sign[i, j + 1]:
-                    crossing.add(("v", i, j))
-
-        polys = trace_boundary(chart)
+        crossing = self.crossings(f)
+        polys, bisected = self.trace(monkeypatch, chart)
         on_edge = []
         for pl in polys:
             verts = pl.vertices[:-1] if pl.closed else pl.vertices
@@ -409,6 +486,42 @@ class TestTraceAnalyticField:
         assert sorted(on_edge) == sorted(crossing)
         for kind, i, j in on_edge:
             assert ok[i, j] and (ok[i + 1, j] if kind == "h" else ok[i, j + 1])
+        # the first bisection step gets exactly the edges that carry a vertex
+        assert bisected == sorted(on_edge)
+
+    def test_bisects_only_edges_with_vertices(self, monkeypatch):
+        # failed nodes one node in from the frame leave sign changes on the
+        # frame that border no cell with four finite corners
+        chart, _ = self.chart(margin=1)
+        polys, bisected = self.trace(monkeypatch, chart)
+        on_edge = sorted(self.edge_of(v) for pl in polys
+                         for v in (pl.vertices[:-1] if pl.closed else pl.vertices))
+        assert len(self.crossings(chart.max_re)) > len(on_edge)
+        assert bisected == on_edge
+
+    def test_unconverged_edge_splits_and_flags(self, monkeypatch):
+        # |g| stays at 1e-3 along one edge inside an open polyline, so its
+        # bisection never converges: the polyline splits there into two
+        # flagged pieces
+        chart, _ = self.chart()
+        polys, _ = self.trace(monkeypatch, chart)
+        whole = max(polys, key=lambda pl: len(pl.vertices))
+        assert not whole.closed and not any(pl.flagged for pl in polys)
+        cut = whole.vertices[len(whole.vertices) // 2]
+        edge = self.edge_of(cut)
+
+        def field(model, pert, plane, pts):
+            g = self.field(pts)
+            bad = np.array([self.edge_of(p) == edge for p in pts])
+            return np.where(bad, np.copysign(np.maximum(np.abs(g), 1e-3), g), g)
+
+        monkeypatch.setattr(atlas, "max_re_at_points", field)
+        split = trace_boundary(chart)
+        assert len(split) == len(polys) + 1
+        pieces = [pl for pl in split if pl.flagged]
+        assert len(pieces) == 2
+        assert sum(len(pl.vertices) for pl in pieces) == len(whole.vertices) - 1
+        assert not any(np.all(pl.vertices == cut, axis=1).any() for pl in split)
 
 
 class TestBoundarySlopes:

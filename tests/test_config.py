@@ -101,8 +101,9 @@ class TestParse:
     def test_tolerance_keys(self):
         cfg = parse_config("command = spectrum\ntolerance.poly_residual = 1e-11\n")
         assert cfg.tolerances == {"poly_residual": 1e-11}
-        with pytest.raises(ConfigError):
-            parse_config("command = spectrum\ntolerance.bogus = 1\n")
+        for key in ("bogus", "conj_closure"):
+            with pytest.raises(ConfigError):
+                parse_config(f"command = spectrum\ntolerance.{key} = 1\n")
 
 
 class TestRoundTrip:
