@@ -203,7 +203,8 @@ def run(cfg: RunConfig, out_dir: str | None = None,
         pert = _build_template(cfg, tol)
         ps = floquet.PeriodicSystem(model, pert)
         result = floquet.monodromy(ps, steps=cfg.floquet_steps,
-                                   liouville_rtol=tol.liouville_rtol)
+                                   liouville_rtol=tol.liouville_rtol,
+                                   duality_tol=tol.duality_tol)
         mu, pr = result.multipliers, result.predicted_multipliers
         emit("floquet.csv",
              "multiplier_re,multiplier_im,predicted_re,predicted_im,"

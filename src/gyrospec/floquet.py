@@ -2,10 +2,11 @@
 
 In the co-rotating frame the perturbed rotor becomes a potential system
 with time-periodic coefficients of frequency 2 Omega.  Its monodromy
-matrix over one period T = pi / Omega carries the same stability content
-as the autonomous pencil: each autonomous eigenvalue lambda maps onto the
-multiplier -exp(lambda T), the sign coming from the half-turn rotation
-exp(pi G) = -I of a single doublet.
+matrix over one period T = pi / Omega, computed as the product of the
+classical RK4 step propagators of that linear system, carries the same
+stability content as the autonomous pencil: each autonomous eigenvalue
+lambda maps onto the multiplier -exp(lambda T), the sign coming from the
+half-turn rotation exp(pi G) = -I of a single doublet.
 """
 
 from __future__ import annotations
@@ -49,19 +50,30 @@ class PeriodicSystem:
 @dataclass(frozen=True, eq=False)
 class FloquetResult:
     monodromy: np.ndarray                 # (4, 4) real
-    multipliers: np.ndarray               # (4,) complex
+    multipliers: np.ndarray               # (4,) complex, entry i pairs with
+                                          # predicted_multipliers[i]
     predicted_multipliers: np.ndarray     # (4,) complex, -exp(lambda T)
     match_error: float
     liouville_error: float                # relative |det M| defect
     steps: int
 
 
-def _rotated(M: np.ndarray, c: float, s: float) -> np.ndarray:
-    """diag(trM, trM)/2 + (M + JMJ)/2 cos + (JM - MJ)/2 sin."""
-    tr = M[0, 0] + M[1, 1]
-    sym = M + J2 @ M @ J2
-    rot = J2 @ M - M @ J2
-    return 0.5 * (np.diag([tr, tr]) + sym * c + rot * s)
+def _rotating_frame(ps: PeriodicSystem, ts):
+    """Dt and Kt of the rotating frame at the time or times ts.
+
+    Each is diag(trM, trM)/2 + (M + JMJ)/2 cos 2 Omega t
+    + (JM - MJ)/2 sin 2 Omega t, of shape ts.shape + (2, 2).
+    """
+    phase = 2.0 * ps.pert.Omega * np.asarray(ts, dtype=float)
+    c = np.cos(phase)[..., None, None]
+    s = np.sin(phase)[..., None, None]
+    frames = []
+    for M in (ps.pert.D, ps.pert.K):
+        tr = M[0, 0] + M[1, 1]
+        sym = M + J2 @ M @ J2
+        rot = J2 @ M - M @ J2
+        frames.append(0.5 * (np.diag([tr, tr]) + c * sym + s * rot))
+    return frames
 
 
 def periodic_matrices(ps: PeriodicSystem, t: float):
@@ -71,31 +83,16 @@ def periodic_matrices(ps: PeriodicSystem, t: float):
     the stiffness correction from differentiating the rotating transform;
     Nt equals N for 2 degrees of freedom.
     """
-    Omega = ps.pert.Omega
-    c = math.cos(2.0 * Omega * t)
-    s = math.sin(2.0 * Omega * t)
-    Dt = _rotated(ps.pert.D, c, s)
-    Kt = _rotated(ps.pert.K, c, s)
+    Dt, Kt = _rotating_frame(ps, t)
     Nt = ps.pert.N.copy()
-    coupling = -ps.pert.delta * Omega * (Dt @ ps.base.G)
+    coupling = -ps.pert.delta * ps.pert.Omega * (Dt @ ps.base.G)
     return Dt, Kt, Nt, coupling
 
 
 def _system_matrix_grid(ps: PeriodicSystem, ts: np.ndarray) -> np.ndarray:
     """First-order form z' = A(t) z stacked over a time grid."""
     Omega, delta = ps.pert.Omega, ps.pert.delta
-    c = np.cos(2.0 * Omega * ts)
-    s = np.sin(2.0 * Omega * ts)
-
-    def rotated(M):
-        tr = M[0, 0] + M[1, 1]
-        sym = M + J2 @ M @ J2
-        rot = J2 @ M - M @ J2
-        return 0.5 * (np.diag([tr, tr]) + c[:, None, None] * sym
-                      + s[:, None, None] * rot)
-
-    Dt = rotated(ps.pert.D)
-    Kt = rotated(ps.pert.K)
+    Dt, Kt = _rotating_frame(ps, ts)
     S = ps.base.P - delta * Omega * (Dt @ ps.base.G) \
         + ps.pert.kappa * Kt + ps.pert.nu * ps.pert.N
     A = np.zeros((len(ts), 4, 4))
@@ -106,42 +103,84 @@ def _system_matrix_grid(ps: PeriodicSystem, ts: np.ndarray) -> np.ndarray:
 
 
 def _integrate_monodromy(ps: PeriodicSystem, steps: int) -> np.ndarray:
-    """Fixed-step classical Runge-Kutta over one period, columns from I."""
+    """Fixed-step classical Runge-Kutta over one period, columns from I.
+
+    The system is linear, so step k is the fixed matrix
+    R_k = I + h/6 (A1 + 2 K2 + 2 K3 + K4) with K2 = A2 + h/2 A2 A1,
+    K3 = A2 + h/2 A2 K2 and K4 = A4 + h A4 K3, where A1, A2 and A4 are
+    the coefficients at the start, middle and end of the step.  All R_k
+    are built in one batched pass and M = R_{N-1} ... R_0 is formed by
+    pairwise reduction, about log2(steps) batched matmuls.
+    """
     T = ps.period
     h = T / steps
     # coefficient matrices at every half step, evaluated in one pass
     A = _system_matrix_grid(ps, 0.5 * h * np.arange(2 * steps + 1))
-    Y = np.eye(4)
-    for k in range(steps):
-        A1, A2, A4 = A[2 * k], A[2 * k + 1], A[2 * k + 2]
-        K1 = A1 @ Y
-        K2 = A2 @ (Y + 0.5 * h * K1)
-        K3 = A2 @ (Y + 0.5 * h * K2)
-        K4 = A4 @ (Y + h * K3)
-        Y = Y + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-    return Y
+    A1, A2, A4 = A[:-1:2], A[1::2], A[2::2]
+    R = np.matmul(A2, A1)
+    R *= 0.5 * h
+    R += A2                                   # K2
+    K = np.matmul(A2, R)
+    K *= 0.5 * h
+    K += A2                                   # K3
+    R *= 2.0
+    R += A1
+    # A2 is spent: its slots of the grid take K4
+    np.matmul(A4, K, out=A2)
+    A2 *= h
+    A2 += A4                                  # K4
+    K *= 2.0
+    R += K
+    R += A2
+    R *= h / 6.0
+    R[:, range(4), range(4)] += 1.0
+
+    # each level multiplies neighbours, later step on the left; an odd
+    # last factor is carried up unchanged; R and K take turns as output,
+    # so the peak stays at the grid plus two (steps, 4, 4) stacks
+    src, dst, n = R, K, steps
+    while n > 1:
+        half = n // 2
+        np.matmul(src[1:2 * half:2], src[:2 * half:2], out=dst[:half])
+        if n % 2:
+            dst[half] = src[n - 1]
+        src, dst, n = dst, src, half + n % 2
+    return src[0].copy()
+
+
+def best_pairing(a, b) -> tuple[int, ...]:
+    """Permutation p pairing a[i] with b[p[i]] at the smallest worst distance.
+
+    Ties in the worst distance go to the smaller sum of distances, so a
+    pair that does not set the worst distance still meets its nearest
+    partner.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    perms = np.array(list(itertools.permutations(range(len(b)))))
+    d = np.abs(a[:, None] - b[None, :])[np.arange(len(a)), perms]
+    best = np.lexsort((d.sum(axis=1), d.max(axis=1)))[0]
+    return tuple(int(p) for p in perms[best])
 
 
 def pairing_distance(a, b) -> float:
     """Smallest worst-case pairing distance between two small multisets."""
-    a = list(np.asarray(a, dtype=complex))
-    b = list(np.asarray(b, dtype=complex))
-    best = math.inf
-    for perm in itertools.permutations(range(len(b))):
-        d = max(abs(a[i] - b[p]) for i, p in enumerate(perm))
-        if d < best:
-            best = d
-    return best
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return float(np.abs(a - b[list(best_pairing(a, b))]).max())
 
 
 def monodromy(ps: PeriodicSystem, steps: int = 4096,
               liouville_rtol: float = DEFAULT.liouville_rtol,
-              verify_steps: bool = False) -> FloquetResult:
+              verify_steps: bool = False,
+              duality_tol: float = DEFAULT.duality_tol) -> FloquetResult:
     """Monodromy matrix, Floquet multipliers and the duality comparison.
 
     Integrates the 4-dimensional first-order form over T = pi / Omega
     (the coefficients oscillate at 2 Omega) and compares the multipliers
-    with -exp(lambda T) built from the autonomous spectrum.
+    with -exp(lambda T) built from the autonomous spectrum.  The
+    multipliers come back in the order of the predicted values they pair
+    with, so multipliers[i] sits next to predicted_multipliers[i].
 
     Parameters
     ----------
@@ -150,6 +189,11 @@ def monodromy(ps: PeriodicSystem, steps: int = 4096,
     verify_steps : bool
         Re-integrate at half resolution and fail if the two monodromy
         matrices disagree beyond the Liouville tolerance.
+    duality_tol : float
+        Fail when the worst pairing distance between the multipliers and
+        -exp(lambda T) exceeds duality_tol * max(1, max |multiplier|):
+        relative to the largest multiplier, since a strongly growing
+        monodromy resolves its multipliers only to that scale.
     """
     if steps < 256:
         raise ValueError(f"steps must be >= 256, got {steps}")
@@ -173,8 +217,8 @@ def monodromy(ps: PeriodicSystem, steps: int = 4096,
     predicted = -np.exp(lam * T)
     order = np.lexsort((predicted.imag, predicted.real))
     predicted = predicted[order]
-
-    match = pairing_distance(multipliers, predicted)
+    multipliers = multipliers[list(best_pairing(predicted, multipliers))]
+    match = float(np.abs(multipliers - predicted).max())
 
     # Liouville: |det M| = exp(-integral tr(delta Dt) dt) = exp(-delta trD T)
     det_M = coeffs[-1] if len(coeffs) % 2 == 1 else -coeffs[-1]
@@ -189,7 +233,14 @@ def monodromy(ps: PeriodicSystem, steps: int = 4096,
             f"Liouville determinant defect {liouville:.3e} exceeds "
             f"{liouville_rtol:.1e} at {steps} steps; increase steps"
         )
+    scale = max(1.0, float(np.abs(multipliers).max()))
+    if not match <= duality_tol * scale:
+        raise ResolutionError(
+            f"Floquet multipliers miss -exp(lambda T) by {match:.3e}, more "
+            f"than {duality_tol:.1e} x {scale:.3e} at {steps} steps; "
+            "increase steps"
+        )
     return FloquetResult(monodromy=M, multipliers=multipliers,
                          predicted_multipliers=predicted,
-                         match_error=float(match),
+                         match_error=match,
                          liouville_error=float(liouville), steps=steps)

@@ -28,7 +28,7 @@ class Tolerances:
     ep_rank_rtol: float = 1e-7
     # |det M| versus the Liouville integral
     liouville_rtol: float = 1e-6
-    # Floquet multiplier pairing distance
+    # Floquet multiplier pairing distance, relative to max(1, max |multiplier|)
     duality_tol: float = 1e-6
 
     def override(self, **kwargs) -> "Tolerances":

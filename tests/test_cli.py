@@ -257,6 +257,20 @@ class TestMain:
         assert main([path]) == 1
         assert "infinite period" in capsys.readouterr().err
 
+    def test_duality_gate_exit1(self, tmp_path, capsys):
+        path = self.write(tmp_path,
+                          FIG1B_REPORT.replace("report", "floquet")
+                          + "gains.Omega = 0.4\nfloquet.steps = 1024\n"
+                          + f"output.path = {tmp_path}/out\n")
+        assert main([path]) == 0
+        header, rows = read_rows(tmp_path / "out" / "floquet.csv")
+        v = np.array(rows, dtype=float)
+        gaps = np.abs(v[:, 0] + 1j * v[:, 1] - (v[:, 2] + 1j * v[:, 3]))
+        assert gaps.max() == v[0, 4]
+        capsys.readouterr()
+        assert main([path, "--tol", "duality_tol=1e-14"]) == 1
+        assert "miss -exp(lambda T)" in capsys.readouterr().err
+
     def test_bad_tol_exit2(self, tmp_path, capsys):
         path = self.write(tmp_path, FIG1B_REPORT)
         assert main([path, "--tol", "nonsense=1"]) == 2

@@ -5,9 +5,26 @@ import pytest
 
 from conftest import FIG_D, FIG_K
 from gyrospec.errors import InfinitePeriodError, ResolutionError
-from gyrospec.floquet import (FloquetResult, PeriodicSystem, monodromy,
-                              pairing_distance, periodic_matrices)
+from gyrospec.floquet import (FloquetResult, PeriodicSystem,
+                              _integrate_monodromy, _system_matrix_grid,
+                              best_pairing, monodromy, pairing_distance,
+                              periodic_matrices)
 from gyrospec.model import J2, PerturbationSet, RotorModel
+
+def loop_monodromy(ps, steps):
+    """Reference: classical RK4 on the 4x4 fundamental matrix, step by step."""
+    h = ps.period / steps
+    A = _system_matrix_grid(ps, 0.5 * h * np.arange(2 * steps + 1))
+    Y = np.eye(4)
+    for k in range(steps):
+        A1, A2, A4 = A[2 * k], A[2 * k + 1], A[2 * k + 2]
+        K1 = A1 @ Y
+        K2 = A2 @ (Y + 0.5 * h * K1)
+        K3 = A2 @ (Y + 0.5 * h * K2)
+        K4 = A4 @ (Y + h * K3)
+        Y = Y + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    return Y
+
 
 def zeros2():
     return np.zeros((2, 2))
@@ -147,6 +164,31 @@ class TestMonodromy:
         assert abs(abs(np.linalg.det(r.monodromy))
                    - math.exp(-0.25 * np.trace(FIG_D) * T)) < 1e-6
 
+    def test_duality_gate(self, model1):
+        ps = system(model1, delta=0.2, kappa=0.15, nu=0.1, Omega=0.37)
+        r = monodromy(ps, steps=1024)
+        assert 0.0 < r.match_error < 1e-6
+        with pytest.raises(ResolutionError, match="miss -exp"):
+            monodromy(ps, steps=1024, duality_tol=1e-14)
+
+    def test_duality_gate_relative_to_largest_multiplier(self, model1):
+        # |mu| ~ 3e3 here: the match error is above 1e-6 absolute but
+        # within 1e-6 of the largest multiplier
+        ps = system(model1, delta=0.3, kappa=0.2, Omega=0.05)
+        r = monodromy(ps, steps=4096)
+        scale = np.abs(r.multipliers).max()
+        assert scale > 1000 and r.match_error > 1e-6
+        assert r.match_error <= 1e-6 * scale
+
+    def test_multipliers_in_predicted_order(self, model1):
+        for Omega in (0.45, -0.3, 0.05):
+            ps = system(model1, delta=0.2, kappa=0.1, nu=0.05, Omega=Omega)
+            r = monodromy(ps, steps=4096)
+            gaps = np.abs(r.multipliers - r.predicted_multipliers)
+            assert gaps.max() == r.match_error
+            assert pairing_distance(r.multipliers,
+                                    r.predicted_multipliers) == r.match_error
+
     def test_minimum_steps(self, model1):
         ps = system(model1, Omega=0.5)
         with pytest.raises(ValueError):
@@ -167,3 +209,31 @@ class TestPairing:
         a = [1 + 1j, 2.0, -1j]
         b = [2.0 + 1e-9, -1j + 1e-9j, 1 + 1j]
         assert pairing_distance(a, b) < 2e-9
+        assert best_pairing(a, b) == (2, 0, 1)
+
+    def test_ties_go_to_nearest_partners(self):
+        # 10 with 20 sets the worst distance whichever way 0 and 1 pair;
+        # the smaller sum of distances pairs each with its neighbour
+        a = [0.0, 1.0, 10.0]
+        b = [1.0 + 1e-3, 1e-3, 20.0]
+        assert best_pairing(a, b) == (1, 0, 2)
+        assert pairing_distance(a, b) == 10.0
+
+
+class TestBatchedMonodromy:
+    """The product of step propagators against the step-by-step loop."""
+
+    @pytest.mark.parametrize("Omega", [0.37, -0.37])
+    @pytest.mark.parametrize("steps", [256, 257, 1000, 4095, 4096])
+    def test_matches_loop(self, model1, steps, Omega):
+        ps = system(model1, delta=0.2, kappa=0.15, nu=0.1, Omega=Omega)
+        M = _integrate_monodromy(ps, steps)
+        ref = loop_monodromy(ps, steps)
+        assert np.abs(M - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_matches_loop_strongly_growing(self, model1):
+        ps = system(model1, delta=0.3, kappa=0.2, Omega=0.05)
+        M = _integrate_monodromy(ps, 4095)
+        ref = loop_monodromy(ps, 4095)
+        assert np.abs(np.linalg.eigvals(ref)).max() > 1000
+        assert np.abs(M - ref).max() <= 1e-13 * np.abs(ref).max()
