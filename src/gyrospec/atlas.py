@@ -3,8 +3,9 @@
 Sweeps classify each node of a 2-D parameter grid with the exact solver,
 boundaries between unstable and stable nodes are traced by oriented
 marching squares with per-edge bisection against the exact spectrum,
-and coalescing eigenvalues are located by minimizing the characteristic
-discriminant and certified through the rank of L(lambda0).
+and coalescing eigenvalues are located by Newton on a Jordan chain of
+the pencil, for any number of doublets, and certified through the chain
+residual and the rank of L(lambda0).
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numpy as np
 from .errors import (ConvergenceError, InsufficientResolutionError,
                      OverflowRescaleError, ShapeError)
 from .model import RotorModel, PerturbationSet, build_pencil, pencil_coefficients
-from .qep import charpoly_of_matrix, companion_matrix, companion_stack, \
-    poly_roots, roots_batch
+from .qep import charpoly_of_matrix, companion_stack, roots_batch
 from .tolerances import DEFAULT
 
 PARAM_NAMES = ("Omega", "kappa", "delta", "nu")
@@ -47,7 +47,7 @@ class Certificate:
 
 @dataclass(frozen=True)
 class SingularPointRecord:
-    kind: str                      # diabolical | exceptional | near_miss
+    kind: str    # exceptional | diabolical | real_double | near_miss
     location: tuple[float, float, float, float]   # (Omega, kappa, delta, nu)
     eigenvalue: complex
     certificate: Certificate
@@ -458,156 +458,126 @@ def boundary_slope_at_origin(chart: StabilityChart,
     return (min(slopes), max(slopes))
 
 
-def _sylvester_resultant(p: np.ndarray, q: np.ndarray) -> float:
-    m = len(p) - 1
-    n = len(q) - 1
-    size = m + n
-    S = np.zeros((size, size))
-    for r in range(n):
-        S[r, r:r + m + 1] = p
-    for r in range(m):
-        S[n + r, r:r + n + 1] = q
-    return float(np.linalg.det(S))
+# Exceptional-point search: gap threshold and count of the coarse-grid
+# candidates, Newton's step cap and relative stopping step, and the chain
+# residual up to which a point is certified.
+_EP_GAP_RTOL = 0.2
+_EP_MAX_CANDIDATES = 8
+_EP_MAX_NEWTON = 60
+_EP_STEP_RTOL = 1e-14
+_EP_RESIDUAL = 1e-10
 
 
-def poly_discriminant(coeffs: np.ndarray) -> float:
-    """Discriminant of a real polynomial (closed form for quartics)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    d = len(coeffs) - 1
-    if d == 4:
-        a, b, c, dd, e = coeffs
-        return (256*a**3*e**3 - 192*a**2*b*dd*e**2 - 128*a**2*c**2*e**2
-                + 144*a**2*c*dd**2*e - 27*a**2*dd**4 + 144*a*b**2*c*e**2
-                - 6*a*b**2*dd**2*e - 80*a*b*c**2*dd*e + 18*a*b*c*dd**3
-                + 16*a*c**4*e - 4*a*c**3*dd**2 - 27*b**4*e**2
-                + 18*b**3*c*dd*e - 4*b**3*dd**3 - 4*b**2*c**3*e
-                + b**2*c**2*dd**2)
-    dp = coeffs[:-1] * np.arange(d, 0, -1)
-    res = _sylvester_resultant(coeffs, dp)
-    sign = -1.0 if (d * (d - 1) // 2) % 2 else 1.0
-    return sign * res / coeffs[0]
+def _chain_newton(model: RotorModel, template: PerturbationSet, x, lam, lo, hi):
+    """Newton on a Jordan chain of the delta = 0 pencil L(l) = l^2 + C l + S.
 
+    Starts from (Omega, kappa) = x and the eigenvalue guess lam.  The
+    unknowns are complex u0, u1, l, t and real Omega, kappa; the equations
 
-def _disc_at(model, pert, x):
-    p = pert.replace(Omega=float(x[0]), kappa=float(x[1]))
-    coeffs = charpoly_of_matrix(companion_matrix(build_pencil(model, p)))
-    return poly_discriminant(coeffs), coeffs
+        L(l) u0 = 0,   L(l) u1 + t L'(l) u0 = 0,
+        c^H u0 = 1,    c^H u1 = 0,    d^H u1 + t = 1
 
+    form a square real system of size 8n + 6, with an analytic Jacobian in
+    G, G^2 and K.  c is the null vector of L at the start and d the
+    direction of the start's associated vector.  At an exceptional point
+    t != 0 and u1 / t is the associated vector; at a diabolical point
+    t = 0 and u1 is a second eigenvector.  Where L'(l) u0 = 0 (the double
+    root l = 0 at Omega = 0) the associated vector is 0 and t = 1, which
+    ``d^H u1 = 1`` alone could not express.  The steps are least-squares
+    steps: the system is singular at diabolical points and along the
+    curves of real double roots.
 
-def _newton_disc(model, template, x0, h, max_iter, bounds):
-    """Newton iteration for the critical point of the discriminant."""
-    (om_lo, om_hi), (ka_lo, ka_hi), margin = bounds
-    x = x0.copy()
-    best = x.copy()
-    best_disc = abs(_disc_at(model, template, x)[0])
-    for _ in range(max_iter):
-        f0, _ = _disc_at(model, template, x)
-        fs = {}
-        for a in (-1, 0, 1):
-            for b in (-1, 0, 1):
-                if (a, b) == (0, 0):
-                    fs[a, b] = f0
-                else:
-                    fs[a, b], _ = _disc_at(model, template,
-                                           x + np.array([a * h[0], b * h[1]]))
-        grad = np.array([(fs[1, 0] - fs[-1, 0]) / (2 * h[0]),
-                         (fs[0, 1] - fs[0, -1]) / (2 * h[1])])
-        mixed = (fs[1, 1] - fs[1, -1] - fs[-1, 1] + fs[-1, -1]) / (4 * h[0] * h[1])
-        hess = np.array([[(fs[1, 0] - 2 * f0 + fs[-1, 0]) / h[0] ** 2, mixed],
-                         [mixed, (fs[0, 1] - 2 * f0 + fs[0, -1]) / h[1] ** 2]])
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            break  # flat minimum (e.g. hitting the point exactly); keep x
-        if not np.all(np.isfinite(step)):
-            break
-        x = x - step
-        if (x[0] < om_lo - margin or x[0] > om_hi + margin
-                or x[1] < ka_lo - margin or x[1] > ka_hi + margin):
-            return best, False
-        d = abs(_disc_at(model, template, x)[0])
-        if d <= best_disc:
-            best, best_disc = x.copy(), d
-        if np.linalg.norm(step) < 1e-12 * max(om_hi - om_lo, ka_hi - ka_lo, 1.0):
-            break
-    return best, True
-
-
-def _polish_double_imag(model, template, x0, h, max_iter=30):
-    """Machine-precision polish of a double imaginary root for 4x4 pencils.
-
-    At delta = 0 the quartic is monic with zero cubic coefficient, so a
-    conjugate pair of double roots +-i w0 means exactly a1 = 0 and
-    a2^2 - 4 a0 = 0.  For nu != 0 both equations are active; for nu = 0
-    the odd coefficient vanishes identically and the critical point of
-    Q = a2^2 - 4 a0 (a clean quadratic minimum) is used instead.
+    Returns (x, (u0, u1, l, t), residual, inside).  ``residual`` is
+    ||(L u0, L u1 + t L' u0)|| / ((|l|^2 + |l| ||C|| + ||S||) ||(u0, u1)||).
+    ``inside`` is False when a step would have left the box lo <= x <= hi;
+    the result is then the last iterate inside it.
     """
-    def system(x):
-        _, c = _disc_at(model, template, x)
-        return np.array([c[3], c[2] ** 2 - 4.0 * c[4]])
-
-    x = x0.copy()
-    if template.nu != 0.0:
-        for _ in range(max_iter):
-            f0 = system(x)
-            Jm = np.empty((2, 2))
-            for k in range(2):
-                dx = np.zeros(2)
-                dx[k] = h[k]
-                Jm[:, k] = (system(x + dx) - system(x - dx)) / (2 * h[k])
-            try:
-                step = np.linalg.solve(Jm, f0)
-            except np.linalg.LinAlgError:
-                return x0
-            if not np.all(np.isfinite(step)):
-                return x0
-            x = x - step
-            if np.linalg.norm(step) < 1e-15 * (1.0 + np.linalg.norm(x)):
-                break
-        return x
-
-    def Q(x):
-        return system(x)[1]
-
-    for _ in range(max_iter):
-        f0 = Q(x)
-        fs = {}
-        for a in (-1, 0, 1):
-            for b in (-1, 0, 1):
-                fs[a, b] = f0 if (a, b) == (0, 0) else \
-                    Q(x + np.array([a * h[0], b * h[1]]))
-        grad = np.array([(fs[1, 0] - fs[-1, 0]) / (2 * h[0]),
-                         (fs[0, 1] - fs[0, -1]) / (2 * h[1])])
-        mixed = (fs[1, 1] - fs[1, -1] - fs[-1, 1] + fs[-1, -1]) / (4 * h[0] * h[1])
-        hess = np.array([[(fs[1, 0] - 2 * f0 + fs[-1, 0]) / h[0] ** 2, mixed],
-                         [mixed, (fs[0, 1] - 2 * f0 + fs[0, -1]) / h[1] ** 2]])
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            return x0
-        if not np.all(np.isfinite(step)):
-            return x0
-        x = x - step
-        if np.linalg.norm(step) < 1e-15 * (1.0 + np.linalg.norm(x)):
+    m = model.size
+    G, G2, K, eye = model.G, model.G2, template.K, np.eye(m)
+    C, S = pencil_coefficients(model, template, x[0], 0.0, x[1], template.nu)
+    W, sv, Vh = np.linalg.svd(lam * lam * eye + lam * C + S)
+    c = Vh[-1].conj()
+    # the start's associated vector, from the other singular directions
+    b = W[:, :-1].conj().T @ ((2.0 * lam * eye + C) @ c)
+    a = -Vh[:-1].conj().T @ np.divide(b, sv[:-1], out=np.zeros_like(b),
+                                      where=sv[:-1] > 0)
+    na = np.linalg.norm(a)
+    d = a / na if na > 0 else Vh[-2].conj()
+    z = np.concatenate([c, a / (1.0 + na), [lam, 1.0 / (1.0 + na)]])
+    # complex Jacobian; columns u0, u1, l, t, then the real Omega, kappa
+    A = np.zeros((2 * m + 3, 2 * m + 4), dtype=complex)
+    A[2 * m, :m] = A[2 * m + 1, m:2 * m] = c.conj()
+    A[2 * m + 2, m:2 * m] = d.conj()
+    A[2 * m + 2, 2 * m + 1] = 1.0
+    x = np.array(x, dtype=float)
+    inside, step = True, np.inf
+    for k in range(_EP_MAX_NEWTON + 1):
+        u0, u1, lam, t = z[:m], z[m:2 * m], z[2 * m], z[2 * m + 1]
+        C, S = pencil_coefficients(model, template, x[0], 0.0, x[1], template.nu)
+        L, dL = lam * lam * eye + lam * C + S, 2.0 * lam * eye + C
+        dL_om = 2.0 * lam * G + 2.0 * x[0] * G2
+        F = np.concatenate([L @ u0, L @ u1 + t * (dL @ u0),
+                            A[2 * m:, :2 * m + 2] @ z - [1.0, 0.0, 1.0]])
+        if k == _EP_MAX_NEWTON \
+                or step <= _EP_STEP_RTOL * (1.0 + abs(lam) + np.linalg.norm(x)):
             break
-    return x
+        A[:2 * m] = np.block([
+            [L, np.zeros((m, m)),
+             np.column_stack([dL @ u0, 0.0 * u0, dL_om @ u0, K @ u0])],
+            [t * dL, L,
+             np.column_stack([dL @ u1 + 2.0 * t * u0, dL @ u0,
+                              dL_om @ u1 + 2.0 * t * (G @ u0), K @ u1])]])
+        Ac, Ar = A[:, :-2], A[:, -2:]
+        J = np.block([[Ac.real, -Ac.imag, Ar.real], [Ac.imag, Ac.real, Ar.imag]])
+        s = np.linalg.lstsq(J, -np.concatenate([F.real, F.imag]), rcond=None)[0]
+        xs = x + s[-2:]
+        if not (np.all(np.isfinite(s)) and np.all((lo <= xs) & (xs <= hi))):
+            inside = False
+            break
+        x = xs
+        z = z + s[:2 * m + 2] + 1j * s[2 * m + 2:4 * m + 4]
+        step = float(np.linalg.norm(s))
+    scale = abs(lam) ** 2 + abs(lam) * np.linalg.norm(C) + np.linalg.norm(S)
+    residual = float(np.linalg.norm(F[:2 * m]) / (scale * np.linalg.norm(z[:2 * m])))
+    return x, (u0, u1, lam, t), residual, inside
+
+
+def _gap_minima(rel_gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of the 3x3 local minima below _EP_GAP_RTOL, by (gap, i, j)."""
+    n1, n2 = rel_gap.shape
+    padded = np.pad(rel_gap, 1, constant_values=np.inf)
+    neigh = np.min([padded[a:a + n1, b:b + n2] for a in range(3) for b in range(3)],
+                   axis=0)
+    ci, cj = np.nonzero((rel_gap < _EP_GAP_RTOL) & (rel_gap <= neigh))
+    order = np.lexsort((cj, ci, rel_gap[ci, cj]))
+    return ci[order], cj[order]
 
 
 def find_exceptional_points(model: RotorModel, pert_template: PerturbationSet,
                             search_box, coarse: tuple[int, int] = (41, 41),
-                            gap_candidate_rtol: float = 0.2,
-                            disc_rtol: float = DEFAULT.ep_disc_rtol,
-                            rank_rtol: float = DEFAULT.ep_rank_rtol,
-                            max_newton: int = 40,
-                            max_candidates: int = 8):
+                            rank_rtol: float = DEFAULT.ep_rank_rtol):
     """Locate and certify coalescing eigenvalues in an (Omega, kappa) box.
 
-    The search runs at delta = 0 with nu taken from the template.  A
-    coarse grid minimizes the smallest eigenvalue gap; candidates are
-    polished by Newton iteration on the characteristic discriminant and
-    certified through the discriminant residual and the rank deficiency
-    of L(lambda0): one missing rank means an exceptional point (a single
-    eigenvector), two a diabolical one.
+    The search runs at delta = 0 with nu taken from the template, for any
+    number of doublets: Newton and the certificate work on the pencil
+    itself, while the starts come from :func:`eigenvalues_at_points`,
+    verified for n <= 3 (the tests cover n = 1 and 2).  Nodes of a coarse
+    grid where the smallest relative eigenvalue gap has a local minimum
+    start Newton on a Jordan chain of the pencil (:func:`_chain_newton`),
+    from the midpoint of the node's closest eigenvalue pair.  A converged point is certified when
+    its chain residual is at most ``_EP_RESIDUAL`` and L(l) loses rank
+    (singular values at most ``rank_rtol`` times the pencil scale): one
+    missing rank means an exceptional point (a single eigenvector), two a
+    diabolical one.  A certified double root with |Im l| within that
+    threshold is real, a divergence onset rather than a flutter one; it
+    is reported among the near misses with kind ``real_double``.  Real
+    double roots lie on curves of the plane, so their locations there
+    are not unique.
+
+    The certificate's ``disc_rel`` is prod_{a<b} |ra - rb|^2 /
+    ((1 + |ra|)(1 + |rb|))^2 over the eigenvalues r at the point, and
+    ``min_gap`` their smallest distance; the reported eigenvalue is
+    Newton's l, in the upper half-plane.
 
     Returns ``(found, near_misses)``; failed certifications never appear
     in ``found``.
@@ -623,85 +593,60 @@ def find_exceptional_points(model: RotorModel, pert_template: PerturbationSet,
     pts = np.column_stack([P1.ravel(), P2.ravel()])
     eigs, _ = eigenvalues_at_points(model, template, plane, pts)
 
-    diff = np.abs(eigs[:, :, None] - eigs[:, None, :])
-    m = eigs.shape[1]
-    iu = np.triu_indices(m, k=1)
-    gaps = diff[:, iu[0], iu[1]].min(axis=1)
-    scale = 1.0 + np.abs(eigs).max(axis=1)
-    rel_gap = (gaps / scale).reshape(coarse)
+    ia, ib = np.triu_indices(eigs.shape[1], k=1)
+    pair_gaps = np.abs(eigs[:, ia] - eigs[:, ib])
+    closest = pair_gaps.argmin(axis=1)
+    rows = np.arange(len(eigs))
+    mids = 0.5 * (eigs[rows, ia[closest]] + eigs[rows, ib[closest]])
+    rel_gap = (pair_gaps[rows, closest]
+               / (1.0 + np.abs(eigs).max(axis=1))).reshape(coarse)
 
-    # local minima below the candidate threshold
-    cand = []
-    for i in range(coarse[0]):
-        for j in range(coarse[1]):
-            g = rel_gap[i, j]
-            if g >= gap_candidate_rtol:
-                continue
-            neigh = rel_gap[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2]
-            if g <= neigh.min():
-                cand.append((g, i, j))
-    cand.sort()
     box_scale = max(om_hi - om_lo, ka_hi - ka_lo)
     picked = []
-    for g, i, j in cand:
+    for i, j in zip(*_gap_minima(rel_gap)):
         x = np.array([ax1[i], ax2[j]])
-        if all(np.linalg.norm(x - y) > 0.05 * box_scale for y in picked):
-            picked.append(x)
-        if len(picked) >= max_candidates:
+        if all(np.linalg.norm(x - y) > 0.05 * box_scale for y, _ in picked):
+            picked.append((x, mids[i * coarse[1] + j]))
+        if len(picked) >= _EP_MAX_CANDIDATES:
             break
 
     found: list[SingularPointRecord] = []
     near: list[SingularPointRecord] = []
-    margin = 0.1 * box_scale
-    h = np.maximum(1e-4 * np.array([om_hi - om_lo, ka_hi - ka_lo]), 1e-7)
-    bounds = ((om_lo, om_hi), (ka_lo, ka_hi), margin)
-    for x0 in picked:
-        x, ok = _newton_disc(model, template, x0, h, max_newton, bounds)
-        if ok and model.n == 1:
-            # the discriminant is quartically flat at semisimple doubles;
-            # polish with the exact double-imaginary-root conditions
-            xp = _polish_double_imag(model, template, x, h)
-            if abs(_disc_at(model, template, xp)[0]) <= abs(_disc_at(model, template, x)[0]):
-                x = xp
-
-        disc, coeffs = _disc_at(model, template, x)
-        roots = poly_roots(coeffs)
-        diffs = np.abs(roots[:, None] - roots[None, :])
-        iu2 = np.triu_indices(len(roots), k=1)
-        pair_flat = int(np.argmin(diffs[iu2]))
-        ia, ib = iu2[0][pair_flat], iu2[1][pair_flat]
-        min_gap = float(diffs[ia, ib])
-        lam0 = 0.5 * (roots[ia] + roots[ib])
-        if lam0.imag < 0:
-            lam0 = lam0.conjugate()
-        dscale = 1.0
-        for a in range(len(roots)):
-            for b in range(a + 1, len(roots)):
-                dscale *= ((1.0 + abs(roots[a])) * (1.0 + abs(roots[b]))) ** 2
-        disc_rel = abs(disc) / dscale
+    lo = np.array([om_lo, ka_lo]) - 0.1 * box_scale
+    hi = np.array([om_hi, ka_hi]) + 0.1 * box_scale
+    for x0, lam0 in picked:
+        x, (_, _, lam, _), residual, inside = _chain_newton(
+            model, template, x0, lam0, lo, hi)
+        roots = eigenvalues_at_points(model, template, plane, x[None])[0][0]
+        gaps = np.abs(roots[ia] - roots[ib])
+        weights = (1.0 + np.abs(roots[ia])) * (1.0 + np.abs(roots[ib]))
+        disc_rel = float(np.prod((gaps / weights) ** 2))
+        if lam.imag < 0:
+            lam = lam.conjugate()
         p = template.replace(Omega=float(x[0]), kappa=float(x[1]))
         pencil = build_pencil(model, p)
-        L = pencil(lam0)
-        sv = np.linalg.svd(L, compute_uv=False)
+        sv = np.linalg.svd(pencil(lam), compute_uv=False)
         # rank threshold on the pencil scale so a diabolical point, where
         # L(lambda0) vanishes entirely, still counts both directions
         thresh = rank_rtol * max(sv[0], float(np.linalg.norm(pencil.stiffness_total)))
         deficiency = int(np.sum(sv <= thresh))
-        cert = Certificate(disc_rel=float(disc_rel), rank_deficiency=deficiency,
-                           min_gap=min_gap, singular_values=tuple(map(float, sv)))
-        loc = (float(x[0]), float(x[1]), 0.0, template.nu)
-        if ok and disc_rel < disc_rtol and deficiency >= 1:
-            kind = "exceptional" if deficiency == 1 else "diabolical"
-            rec = SingularPointRecord(kind=kind, location=loc,
-                                      eigenvalue=complex(lam0), certificate=cert)
-            if all(np.linalg.norm(np.array(rec.location[:2])
-                                  - np.array(f.location[:2])) > 1e-6 * max(box_scale, 1.0)
-                   for f in found):
-                found.append(rec)
+        cert = Certificate(disc_rel=disc_rel, rank_deficiency=deficiency,
+                           min_gap=float(gaps.min()),
+                           singular_values=tuple(map(float, sv)))
+        if not (inside and residual <= _EP_RESIDUAL and deficiency >= 1):
+            kind = "near_miss"
+        elif lam.imag <= thresh:
+            kind = "real_double"
         else:
-            near.append(SingularPointRecord(kind="near_miss", location=loc,
-                                            eigenvalue=complex(lam0),
-                                            certificate=cert))
-    found.sort(key=lambda r: r.location)
-    near.sort(key=lambda r: r.location)
+            kind = "exceptional" if deficiency == 1 else "diabolical"
+        rec = SingularPointRecord(kind=kind, eigenvalue=complex(lam), certificate=cert,
+                                  location=(float(x[0]), float(x[1]), 0.0, template.nu))
+        if kind in ("near_miss", "real_double"):
+            near.append(rec)
+        elif all(np.linalg.norm(x - np.array(f.location[:2]))
+                 > 1e-6 * max(box_scale, 1.0) for f in found):
+            found.append(rec)
+    # Newton leaves rounding noise (~1e-32) in coordinates that are 0
+    for records in (found, near):
+        records.sort(key=lambda r: np.round(r.location, 12).tolist())
     return found, near

@@ -189,8 +189,7 @@ def run(cfg: RunConfig, out_dir: str | None = None,
                (cfg.axes["kappa"][0], cfg.axes["kappa"][1]))
         coarse = (cfg.axes["Omega"][2], cfg.axes["kappa"][2])
         found, near = atlas.find_exceptional_points(
-            model, pert, box, coarse=coarse,
-            disc_rtol=tol.ep_disc_rtol, rank_rtol=tol.ep_rank_rtol)
+            model, pert, box, coarse=coarse, rank_rtol=tol.ep_rank_rtol)
         rows = [(r.kind, r.location[0], r.location[1], r.location[2],
                  r.location[3], r.eigenvalue.real, r.eigenvalue.imag,
                  r.certificate.disc_rel, r.certificate.rank_deficiency,
@@ -312,10 +311,7 @@ def main(argv=None) -> int:
 
     try:
         written = run(cfg, out_dir=args.out, tol_overrides=tol_overrides)
-    except GyrospecError as exc:
-        print(f"gyrospec: {exc}", file=sys.stderr)
-        return 1
-    except NotImplementedError as exc:
+    except (GyrospecError, NotImplementedError) as exc:
         print(f"gyrospec: {exc}", file=sys.stderr)
         return 1
     for path in written:

@@ -22,8 +22,6 @@ class Tolerances:
     marginal_rtol: float = 1e-8
     # |max Re lambda| at refined boundary vertices
     boundary_residual: float = 1e-9
-    # discriminant certification threshold (relative)
-    ep_disc_rtol: float = 1e-10
     # rank-deficiency threshold relative to ||L(lambda0)||
     ep_rank_rtol: float = 1e-7
     # |det M| versus the Liouville integral

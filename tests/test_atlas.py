@@ -13,10 +13,10 @@ from gyrospec.atlas import (CLASS_NAMES, StabilityChart,
 from gyrospec.qep import char_poly, companion_matrix, poly_roots, solve_qep
 from gyrospec.errors import (ConvergenceError, InsufficientResolutionError,
                              ShapeError)
-from gyrospec.model import PerturbationSet, RotorModel, build_pencil
+from gyrospec.model import J2, PerturbationSet, RotorModel, build_pencil
 from gyrospec.tolerances import DEFAULT
 from gyrospec.perturbation import (beta0, criterion_B, ep_location,
-                                   invariant_A, modal_data)
+                                   invariant_A, jordan_chain, modal_data)
 
 SQRT5 = math.sqrt(5.0)
 
@@ -601,6 +601,108 @@ class TestFindExceptionalPoints:
         found, near = find_exceptional_points(
             model1, pert, ((0.3, 0.5), (0.5, 0.8)))
         assert found == []
+
+    def test_gap_minima_match_loop(self):
+        def loop(rel_gap):
+            cand = []
+            for i in range(rel_gap.shape[0]):
+                for j in range(rel_gap.shape[1]):
+                    g = rel_gap[i, j]
+                    if g >= atlas._EP_GAP_RTOL:
+                        continue
+                    if g <= rel_gap[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2].min():
+                        cand.append((g, i, j))
+            return [(i, j) for _, i, j in sorted(cand)]
+
+        rng = np.random.default_rng(7)
+        for shape in ((41, 41), (5, 9), (2, 2)):
+            # coarse values give ties, a few NaN nodes stand for failed rows
+            rel_gap = np.round(rng.uniform(0.0, 0.3, shape), 2)
+            rel_gap[rng.uniform(size=shape) < 0.03] = np.nan
+            ci, cj = atlas._gap_minima(rel_gap)
+            assert list(zip(ci.tolist(), cj.tolist())) == loop(rel_gap)
+
+    def wide_box(self, model1):
+        pert = PerturbationSet(D=zeros2(), K=FIG_K, nu=0.2)
+        return pert, find_exceptional_points(
+            model1, pert, ((-0.3, 0.3), (-0.4, 0.4)), coarse=(41, 41))
+
+    def test_wide_box_places_both_eps_exactly(self, model1):
+        pert, (found, near) = self.wide_box(model1)
+        kap0, om_plus = ep_location(FIG_K, 1.0, 0.2)
+        _, om_minus = ep_location(-FIG_K, 1.0, 0.2)
+        for kappa, omega in ((kap0, om_plus), (-kap0, om_minus)):
+            hits = [r for r in found if r.kind == "exceptional"
+                    and abs(r.location[0]) <= 1e-10
+                    and abs(r.location[1] - kappa) <= 1e-10]
+            assert len(hits) == 1
+            assert abs(hits[0].eigenvalue - 1j * omega) <= 1e-10
+        for r in found + near:
+            L = build_pencil(model1, pert.replace(Omega=r.location[0],
+                                                  kappa=r.location[1]))
+            sv = r.certificate.singular_values
+            thresh = DEFAULT.ep_rank_rtol * max(
+                sv[0], np.linalg.norm(L.stiffness_total))
+            if abs(r.eigenvalue.imag) <= thresh:
+                assert r.kind != "exceptional"
+        # P + kappa K + nu N is singular at kappa = -0.4: the double root
+        # l = 0 of Omega = 0 is a divergence onset
+        zero = [r for r in near if r.kind == "real_double"
+                and abs(r.eigenvalue) <= 1e-10]
+        assert len(zero) == 1
+        assert abs(zero[0].location[0]) <= 1e-10
+        assert abs(zero[0].location[1] + 0.4) <= 1e-10
+
+    def test_disc_rel_from_roots(self, model1):
+        pert, (found, near) = self.wide_box(model1)
+        assert found
+        for r in found + near:
+            roots, _ = eigenvalues_at_points(model1, pert, ("Omega", "kappa"),
+                                             np.array([r.location[:2]]))
+            roots = roots[0]
+            expect = 1.0
+            for a in range(len(roots)):
+                for b in range(a + 1, len(roots)):
+                    expect *= (abs(roots[a] - roots[b]) / (
+                        (1 + abs(roots[a])) * (1 + abs(roots[b])))) ** 2
+            assert r.certificate.disc_rel == pytest.approx(expect, rel=1e-12)
+            if r.certificate.min_gap > 0:
+                assert r.certificate.disc_rel > 0
+
+    def test_two_doublets(self):
+        model = RotorModel.string(2)
+        K = np.array([[1.0, 1.0, 0.3, 0.1], [1.0, 2.0, 0.2, 0.4],
+                      [0.3, 0.2, 1.5, 0.5], [0.1, 0.4, 0.5, 1.0]])
+        pert = PerturbationSet(D=np.zeros((4, 4)), K=K, nu=0.2)
+        found, _ = find_exceptional_points(model, pert, ((-0.3, 0.3), (-0.4, 0.4)))
+        eps = [r for r in found if r.kind == "exceptional"]
+        assert eps
+        for r in eps:
+            L = build_pencil(model, pert.replace(Omega=r.location[0],
+                                                 kappa=r.location[1]))
+            ev = np.linalg.eigvals(companion_matrix(L))
+            scale = max(1.0, np.abs(ev).max())
+            assert np.sum(np.abs(ev - r.eigenvalue) <= 1e-6 * scale) >= 2
+
+    def test_chain_matches_closed_form(self, model1):
+        pert = PerturbationSet(D=zeros2(), K=FIG_K, nu=0.2)
+        kap0, om0 = ep_location(FIG_K, 1.0, 0.2)
+        x, (u0, u1, lam, t), residual, inside = atlas._chain_newton(
+            model1, pert, np.array([0.015, 0.17]), 1.12j,
+            np.array([-0.36, -0.46]), np.array([0.36, 0.46]))
+        assert inside and residual <= atlas._EP_RESIDUAL
+        assert abs(x[0]) <= 1e-10 and abs(x[1] - kap0) <= 1e-10
+        assert abs(lam - 1j * om0) <= 1e-10
+        ref = jordan_chain(FIG_K, 1.0, 0.2)
+        norm0 = np.linalg.norm(u0)
+        assert abs(abs(np.vdot(u0 / norm0, ref.u0)) - 1.0) <= 1e-10
+        # associated vector u1 / t, scaled with u0 to a unit eigenvector;
+        # L'(l) = 2 i omega0 at Omega = 0, the chain sign sigma = 1
+        assoc = u1 / t / norm0
+        M = -om0 ** 2 * np.eye(2) + np.eye(2) + kap0 * FIG_K + 0.2 * J2
+        chain_residual = np.linalg.norm(M @ assoc + 2j * om0 * u0 / norm0)
+        scale = np.linalg.norm(np.eye(2) + kap0 * FIG_K + 0.2 * J2)
+        assert chain_residual <= 1e-8 * scale * (1.0 + np.linalg.norm(assoc))
 
 
 class TestChartAgainstCriterionB:

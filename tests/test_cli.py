@@ -276,6 +276,11 @@ class TestMain:
         assert main([path, "--tol", "nonsense=1"]) == 2
         assert main([path, "--tol", "druh"]) == 2
 
+    def test_removed_tol_exit2(self, tmp_path, capsys):
+        path = self.write(tmp_path, FIG1B_REPORT)
+        assert main([path, "--tol", "ep_disc_rtol=1e-10"]) == 2
+        assert "ep_disc_rtol" in capsys.readouterr().err
+
     def test_tol_override_applies(self, tmp_path):
         path = self.write(tmp_path, FIG1B_REPORT
                           + f"output.path = {tmp_path}/out\n")
