@@ -18,7 +18,6 @@ from .model import (
     mesh_spectrum,
 )
 from .qep import (
-    CharPoly,
     Spectrum,
     char_poly,
     cluster_eigenvalues,

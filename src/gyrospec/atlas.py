@@ -14,10 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (ConvergenceError, InsufficientResolutionError,
-                     OverflowRescaleError, ShapeError)
+from .errors import InsufficientResolutionError, ShapeError
 from .model import RotorModel, PerturbationSet, build_pencil, pencil_coefficients
-from .qep import charpoly_of_matrix, companion_stack, roots_batch
+from .qep import accepted, pencil_eigenvalues, rejected
 from .tolerances import DEFAULT
 
 PARAM_NAMES = ("Omega", "kappa", "delta", "nu")
@@ -75,7 +74,6 @@ class StabilityChart:
     pert_template: PerturbationSet
     marginal_rtol: float
     boundaries: tuple = ()
-    singular_points: tuple = ()
 
     def __post_init__(self):
         for name in ("axis1", "axis2", "max_re", "im_at_max", "class_codes"):
@@ -102,9 +100,6 @@ class StabilityChart:
     def with_boundaries(self, boundaries) -> "StabilityChart":
         return replace(self, boundaries=tuple(boundaries))
 
-    def with_singular_points(self, records) -> "StabilityChart":
-        return replace(self, singular_points=tuple(records))
-
 
 def _verdict_parts(eigs: np.ndarray, marginal_rtol: float):
     """Vectorized classification of eigenvalue rows (M, 4n).
@@ -127,42 +122,20 @@ def _verdict_parts(eigs: np.ndarray, marginal_rtol: float):
     return max_re, crit, codes
 
 
-def _failures(eigs: np.ndarray, resid: np.ndarray, poly_residual: float):
-    """Rows the solver could not certify: (mask (M,), reason per failed row).
-
-    Overflowed characteristic coefficients leave NaN rows; otherwise a
-    row fails when its worst scaled root residual is above
-    ``poly_residual`` or is NaN.
-    """
-    overflow = ~np.all(np.isfinite(eigs.view(float)), axis=1)
-    worst = resid.max(axis=1)
-    bad = overflow | ~(worst <= poly_residual)
-    reasons = {int(k): "coefficients overflowed" if overflow[k] else
-               f"root residual {worst[k]:.3e} above {poly_residual:.1e}"
-               for k in np.nonzero(bad)[0]}
-    return bad, reasons
-
-
 def classify(model: RotorModel, pert: PerturbationSet,
              marginal_rtol: float = DEFAULT.marginal_rtol,
              poly_residual: float = DEFAULT.poly_residual) -> StabilityVerdict:
     """Stability verdict at one operating point.
 
     A one-point call of :func:`eigenvalues_at_points`, so it agrees
-    exactly with :func:`sweep2d` at the same node.  Raises
+    exactly with :func:`sweep2d` and :func:`~gyrospec.qep.solve_qep` at
+    the same node.  Raises through :func:`~gyrospec.qep.accepted`:
     OverflowRescaleError when the characteristic coefficients overflow
     and ConvergenceError when a root residual is above ``poly_residual``.
     """
     pts = np.array([[pert.Omega, pert.kappa]])
-    eigs, resid = eigenvalues_at_points(model, pert, ("Omega", "kappa"), pts)
-    bad, reasons = _failures(eigs, resid, poly_residual)
-    if bad[0]:
-        if not np.all(np.isfinite(eigs)):
-            raise OverflowRescaleError(
-                "polynomial coefficients overflowed; rescale the pencil "
-                "(divide frequencies and gains by a common factor)")
-        raise ConvergenceError(f"characteristic {reasons[0]}",
-                               best=eigs[0], residuals=resid[0])
+    eigs = accepted(*eigenvalues_at_points(model, pert, ("Omega", "kappa"), pts),
+                    poly_residual)
     max_re, crit, codes = _verdict_parts(eigs, marginal_rtol)
     return StabilityVerdict(
         classification=CLASS_NAMES[codes[0]],
@@ -176,12 +149,11 @@ def eigenvalues_at_points(model: RotorModel, pert: PerturbationSet,
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Exact eigenvalues at many operating points of one plane.
 
-    Returns (eigenvalues (M, 4n), scaled poly residuals (M, 4n)).  Every
-    model size takes the same batched pass: the (M, 4n, 4n) companion
-    stack, its characteristic polynomials and one root iteration over
-    all rows.  Rows whose coefficients overflow come back as NaN
-    eigenvalues with inf residuals.  Residual acceptance is the caller's
-    concern.
+    Returns (eigenvalues (M, 4n), scaled poly residuals (M, 4n)) from one
+    :func:`~gyrospec.qep.pencil_eigenvalues` call on the (M, 2n, 2n)
+    pencil stack, for every model size.  Rows whose coefficients overflow
+    come back as NaN eigenvalues with inf residuals; acceptance is
+    :func:`~gyrospec.qep.rejected`.
 
     The path agrees with LAPACK ``eigvals`` of the companion matrix for
     n <= 3 (the oracle tests); for n >= 4 the degree-4n characteristic
@@ -195,16 +167,7 @@ def eigenvalues_at_points(model: RotorModel, pert: PerturbationSet,
     gains[plane[1]] = pts[:, 1, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
         C, S = pencil_coefficients(model, pert, **gains)
-        coeffs = charpoly_of_matrix(companion_stack(C, S))
-        finite = np.all(np.isfinite(coeffs), axis=1)
-        if finite.all():
-            return roots_batch(coeffs)
-        d = coeffs.shape[1] - 1
-        eigs = np.full((len(pts), d), np.nan, dtype=complex)
-        resid = np.full((len(pts), d), np.inf)
-        if finite.any():
-            eigs[finite], resid[finite] = roots_batch(coeffs[finite])
-    return eigs, resid
+    return pencil_eigenvalues(C, S)
 
 
 def max_re_at_points(model: RotorModel, pert: PerturbationSet,
@@ -231,9 +194,10 @@ def sweep2d(model: RotorModel, pert_template: PerturbationSet,
     """Classify every node of a 2-D parameter grid.
 
     All nodes go through one batched :func:`eigenvalues_at_points` call,
-    for any number of doublets.  A node whose coefficients overflow or
-    whose worst root residual is above ``poly_residual`` (or NaN) becomes
-    an ERROR cell with NaN ``max_re`` and ``im_at_max``; its reason is
+    for any number of doublets.  A node that
+    :func:`~gyrospec.qep.rejected` rejects (overflowed coefficients, or a
+    worst root residual above ``poly_residual`` or NaN) becomes an ERROR
+    cell with NaN ``max_re`` and ``im_at_max``; its reason is
     listed in ``chart.errors``.
 
     Parameters
@@ -255,7 +219,7 @@ def sweep2d(model: RotorModel, pert_template: PerturbationSet,
 
     eigs, resid = eigenvalues_at_points(model, pert_template, plane, pts)
     max_re, crit, codes = _verdict_parts(eigs, marginal_rtol)
-    bad, reasons = _failures(eigs, resid, poly_residual)
+    bad, reasons = rejected(eigs, resid, poly_residual)
     codes[bad] = CLASS_NAMES.index(ERROR)
     max_re[bad] = np.nan
     crit[bad] = complex(np.nan, np.nan)

@@ -218,9 +218,10 @@ def run(cfg: RunConfig, out_dir: str | None = None,
         for delta in (0.0, 0.3):
             pert = _build_template(cfg, tol, delta=delta)
             tag = _tag(delta)
-            eigs, _ = atlas.eigenvalues_at_points(
+            eigs = qep.accepted(*atlas.eigenvalues_at_points(
                 model, pert, ("Omega", "kappa"),
-                np.column_stack([omegas, np.full_like(omegas, pert.kappa)]))
+                np.column_stack([omegas, np.full_like(omegas, pert.kappa)])),
+                tol.poly_residual)
             emit(f"fig1_exact_delta_{tag}.csv", "Omega,re,im",
                  _points_text(omegas, eigs))
             md = perturbation.modal_data(pert.D, pert.K, model.omegas[0])

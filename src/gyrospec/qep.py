@@ -1,9 +1,13 @@
 """Quadratic eigenvalue solver for small dense pencils.
 
-The pencil L(lambda) = I lambda^2 + C lambda + S is linearized to its
-4n x 4n companion matrix, the characteristic polynomial is extracted with
-the Faddeev-LeVerrier trace recursion, and all roots are found by the
-Aberth-Ehrlich simultaneous iteration followed by a Newton polish.  No
+Every eigenvalue of the package takes one path, :func:`pencil_eigenvalues`:
+the pencils L(lambda) = I lambda^2 + C lambda + S of an (M, m, m) stack
+are linearized to their 2m x 2m companion matrices, the characteristic
+polynomials are extracted with the Faddeev-LeVerrier trace recursion, and
+all roots are found by one Aberth-Ehrlich simultaneous iteration followed
+by a Newton polish.  One rule, :func:`rejected`, decides which rows are
+accepted; :func:`accepted` is its raising form for the single-point
+callers (:func:`solve_qep`, :func:`poly_roots`, ``atlas.classify``).  No
 external eigensolver is used on the production path; LAPACK enters only
 as an independent test oracle.
 """
@@ -23,35 +27,8 @@ _MAX_ITER = 400
 _POLISH_STEPS = 4
 _STEP_TOL = 4.0 * 2.0 ** -52
 
-
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic real polynomial det L(lambda), highest degree first."""
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        c = tuple(float(x) for x in self.coefficients)
-        if len(c) < 2:
-            raise ShapeError("polynomial must have degree >= 1")
-        if c[0] != 1.0:
-            raise ShapeError("characteristic polynomial must be monic")
-        if not all(np.isfinite(c)):
-            raise OverflowRescaleError(
-                "polynomial coefficients overflowed; rescale the pencil "
-                "(divide frequencies and gains by a common factor)"
-            )
-        object.__setattr__(self, "coefficients", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, lam):
-        out = np.zeros_like(np.asarray(lam, dtype=complex))
-        for c in self.coefficients:
-            out = out * lam + c
-        return out
+_OVERFLOW_MESSAGE = ("polynomial coefficients overflowed; rescale the pencil "
+                     "(divide frequencies and gains by a common factor)")
 
 
 def companion_stack(C: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -98,9 +75,9 @@ def charpoly_of_matrix(A: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def char_poly(pencil: QuadraticPencil) -> CharPoly:
-    """Characteristic polynomial det L(lambda) of the pencil."""
-    return CharPoly(tuple(charpoly_of_matrix(companion_matrix(pencil))))
+def char_poly(pencil: QuadraticPencil) -> np.ndarray:
+    """Coefficients of det L(lambda), highest degree first (leading 1)."""
+    return charpoly_of_matrix(companion_matrix(pencil))
 
 
 def _initial_guesses(coeffs: np.ndarray) -> np.ndarray:
@@ -150,9 +127,7 @@ def roots_batch(coeffs: np.ndarray, max_iter: int = _MAX_ITER) -> tuple[np.ndarr
     if np.any(lead == 0.0):
         raise ShapeError("leading coefficient must be nonzero")
     if not np.all(np.isfinite(coeffs)):
-        raise OverflowRescaleError(
-            "polynomial coefficients overflowed; rescale the pencil"
-        )
+        raise OverflowRescaleError(_OVERFLOW_MESSAGE)
     a = coeffs / lead
 
     x = _initial_guesses(a)
@@ -217,26 +192,75 @@ def roots_batch(coeffs: np.ndarray, max_iter: int = _MAX_ITER) -> tuple[np.ndarr
     return x, scaled_residuals(a, x)
 
 
-def poly_roots(poly, residual_tol: float = DEFAULT.poly_residual,
+def pencil_eigenvalues(C: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the pencils I lambda^2 + C lambda + S over (M, m, m) stacks.
+
+    The (M, 2m, 2m) companion stack, its characteristic polynomials and
+    one root iteration over the finite rows.  Returns (eigenvalues
+    (M, 2m), scaled root residuals (M, 2m)); a row whose coefficients
+    overflow comes back as NaN eigenvalues with inf residuals.  Whether
+    a row is accepted is decided by :func:`rejected`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = charpoly_of_matrix(companion_stack(C, S))
+    finite = np.all(np.isfinite(coeffs), axis=1)
+    if finite.all():
+        return roots_batch(coeffs)
+    d = coeffs.shape[1] - 1
+    eigs = np.full((len(coeffs), d), np.nan, dtype=complex)
+    resid = np.full((len(coeffs), d), np.inf)
+    if finite.any():
+        eigs[finite], resid[finite] = roots_batch(coeffs[finite])
+    return eigs, resid
+
+
+_OVERFLOWED = "coefficients overflowed"
+
+
+def rejected(eigs: np.ndarray, resid: np.ndarray, poly_residual: float):
+    """Rows of a root batch that are not accepted: (mask (M,), reasons).
+
+    A row is rejected when its eigenvalues are not finite (overflowed
+    coefficients) or its worst scaled root residual is above
+    ``poly_residual`` or NaN.  ``reasons`` maps each rejected row to a
+    one-line reason.
+    """
+    overflow = ~np.all(np.isfinite(eigs.view(float)), axis=1)
+    worst = resid.max(axis=1)
+    bad = overflow | ~(worst <= poly_residual)
+    reasons = {int(k): _OVERFLOWED if overflow[k] else
+               f"root residual {worst[k]:.3e} above {poly_residual:.1e}"
+               for k in np.nonzero(bad)[0]}
+    return bad, reasons
+
+
+def accepted(eigs: np.ndarray, resid: np.ndarray, poly_residual: float) -> np.ndarray:
+    """``eigs`` when :func:`rejected` accepts every row; otherwise raise for
+    the first rejected row: OverflowRescaleError when it overflowed,
+    ConvergenceError carrying its roots and residuals when it did not
+    converge."""
+    bad, reasons = rejected(eigs, resid, poly_residual)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if reasons[k] == _OVERFLOWED:
+            raise OverflowRescaleError(_OVERFLOW_MESSAGE)
+        raise ConvergenceError(reasons[k], best=eigs[k], residuals=resid[k])
+    return eigs
+
+
+def poly_roots(coeffs, residual_tol: float = DEFAULT.poly_residual,
                max_iter: int = _MAX_ITER) -> np.ndarray:
-    """All roots of one polynomial, raising on non-convergence.
+    """All roots of one polynomial (highest degree first), raising through
+    :func:`accepted`.
 
     Multiple roots come back as tight clusters of simple roots; clustering
     them is the caller's concern (see :func:`cluster_eigenvalues`).
     """
-    coeffs = poly.coefficients if isinstance(poly, CharPoly) else poly
-    roots, resid = roots_batch(np.asarray(coeffs, dtype=float)[None, :], max_iter)
-    if np.any(~(resid <= residual_tol)):  # NaN fails too
-        worst = float(np.max(resid))
-        raise ConvergenceError(
-            f"root residual {worst:.3e} above {residual_tol:.1e} after "
-            f"{max_iter} iterations",
-            best=roots[0], residuals=resid[0],
-        )
-    return roots[0]
+    coeffs = np.asarray(coeffs, dtype=float)[None, :]
+    return accepted(*roots_batch(coeffs, max_iter), residual_tol)[0]
 
 
-def cluster_eigenvalues(values, rtol: float = DEFAULT.cluster_rtol):
+def cluster_eigenvalues(values, rtol: float = 1e-6):
     """Group eigenvalues closer than rtol*(1+|lambda|) into multiplicity tags.
 
     Returns a list of (center, multiplicity, indices) sorted like the input.
@@ -281,46 +305,37 @@ class Spectrum:
     poly_residuals: np.ndarray     # (4n,) float, scaled |p(lam)|
     residual_ok: np.ndarray        # (4n,) bool
 
-    def clusters(self, rtol: float = DEFAULT.cluster_rtol):
-        return cluster_eigenvalues(self.eigenvalues, rtol)
-
 
 def solve_qep(pencil: QuadraticPencil, want_vectors: bool = True,
               residual_tol: float = DEFAULT.poly_residual,
               qep_residual_rtol: float = DEFAULT.qep_residual_rtol) -> Spectrum:
     """Solve det L(lambda) = 0 with eigenvectors and residuals.
 
-    Eigenvalues are the polished roots of the characteristic polynomial;
-    each eigenvector is the right singular direction of L(lambda) with the
-    smallest singular value.  An eigenpair whose residual exceeds
-    ``qep_residual_rtol * (1+|lambda|^2) * ||S||`` is flagged, not dropped.
+    Eigenvalues are a one-row :func:`pencil_eigenvalues` call, raising
+    through :func:`accepted`; each eigenvector is the right singular
+    direction of L(lambda) with the smallest singular value, from one
+    batched SVD of all L(lambda_k).  If that SVD does not converge, every
+    vector is NaN and every residual inf.  An eigenpair whose residual
+    exceeds ``qep_residual_rtol * (1+|lambda|^2) * ||S||`` is flagged, not
+    dropped.
     """
-    cp = char_poly(pencil)
-    coeffs = np.asarray(cp.coefficients)
-    roots, poly_resid = roots_batch(coeffs[None, :])
-    roots, poly_resid = roots[0], poly_resid[0]
-    if np.any(~(poly_resid <= residual_tol)):  # NaN fails too
-        worst = float(np.max(poly_resid))
-        raise ConvergenceError(
-            f"characteristic root residual {worst:.3e} above {residual_tol:.1e}",
-            best=roots, residuals=poly_resid,
-        )
+    eigs, poly_resid = pencil_eigenvalues(pencil.damping_total[None],
+                                          pencil.stiffness_total[None])
+    roots, poly_resid = accepted(eigs, poly_resid, residual_tol)[0], poly_resid[0]
 
-    m = pencil.size
     nvals = len(roots)
-    vectors = np.full((nvals, m), np.nan, dtype=complex)
+    vectors = np.full((nvals, pencil.size), np.nan, dtype=complex)
     residuals = np.full(nvals, np.inf)
-    s_scale = np.linalg.norm(pencil.stiffness_total)
     if want_vectors:
-        for i, lam in enumerate(roots):
-            L = pencil(lam)
-            try:
-                _, _, vh = np.linalg.svd(L)
-            except np.linalg.LinAlgError:
-                continue
-            u = vh[-1].conj()
-            vectors[i] = u
-            residuals[i] = np.linalg.norm(L @ u)
+        L = pencil(roots[:, None, None])
+        try:
+            vh = np.linalg.svd(L)[2]
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            vectors = vh[:, -1].conj()
+            residuals = np.linalg.norm(L @ vectors[:, :, None], axis=(1, 2))
+    s_scale = np.linalg.norm(pencil.stiffness_total)
     ok = residuals <= qep_residual_rtol * (1.0 + np.abs(roots) ** 2) * max(s_scale, 1e-300)
     return Spectrum(eigenvalues=roots, eigenvectors=vectors,
                     residuals=residuals, poly_residuals=poly_resid,

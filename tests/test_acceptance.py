@@ -37,7 +37,7 @@ def test_criterion_01_ep_certification():
     omega0 = math.sqrt(1 + 3 * nu / SQRT5)
     pen = build_pencil(MODEL, PerturbationSet(D=np.zeros((2, 2)), K=FIG_K,
                                               kappa=kappa0, nu=nu))
-    a = char_poly(pen).coefficients
+    a = char_poly(pen)
     disc_pair = abs(a[2] ** 2 - 4 * a[4])
     rel = disc_pair / max(a[2] ** 2, abs(4 * a[4]))
     clusters = cluster_eigenvalues(poly_roots(a))

@@ -12,8 +12,9 @@ from gyrospec.atlas import (CLASS_NAMES, StabilityChart,
                             max_re_at_points, sweep2d, trace_boundary)
 from gyrospec.qep import char_poly, companion_matrix, poly_roots, solve_qep
 from gyrospec.errors import (ConvergenceError, InsufficientResolutionError,
-                             ShapeError)
-from gyrospec.model import J2, PerturbationSet, RotorModel, build_pencil
+                             OverflowRescaleError, ShapeError)
+from gyrospec.model import (J2, PerturbationSet, QuadraticPencil, RotorModel,
+                            build_pencil, pencil_coefficients)
 from gyrospec.tolerances import DEFAULT
 from gyrospec.perturbation import (beta0, criterion_B, ep_location,
                                    invariant_A, jordan_chain, modal_data)
@@ -741,3 +742,39 @@ class TestBatchEigenvalues:
                           want_vectors=False)
             assert np.allclose(np.sort_complex(row),
                                np.sort_complex(s.eigenvalues), atol=1e-10)
+
+
+class TestOnePath:
+    """solve_qep, classify and the batched path share one solve and one gate."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_single_point_callers_bitwise(self, n):
+        rng = np.random.default_rng(1)
+        model = RotorModel.string(n)
+        size = 2 * n
+        for _ in range(40):
+            D, K = rng.normal(size=(2, size, size))
+            pert = PerturbationSet(
+                D=0.5 * (D + D.T), K=0.5 * (K + K.T),
+                delta=rng.uniform(0.0, 0.4), kappa=rng.uniform(-0.4, 0.4),
+                nu=rng.uniform(-0.3, 0.3), Omega=rng.uniform(-0.6, 0.6))
+            eigs = eigenvalues_at_points(model, pert, ("Omega", "kappa"),
+                                         np.array([[pert.Omega, pert.kappa]]))[0][0]
+            s = solve_qep(build_pencil(model, pert))
+            assert s.eigenvalues.tobytes() == eigs.tobytes()
+            assert classify(model, pert).max_re == eigs.real.max()
+
+    def test_overflow_same_error_every_caller(self, model1):
+        # the overflowing node of test_cell_failure_recorded_and_sweep_continues
+        pert = PerturbationSet(D=zeros2(), K=zeros2(), Omega=1e160)
+        with pytest.raises(OverflowRescaleError) as from_classify:
+            classify(model1, pert)
+        with np.errstate(over="ignore", invalid="ignore"):
+            C, S = pencil_coefficients(model1, pert, np.float64(1e160), 0.0, 0.0, 0.0)
+        with pytest.raises(OverflowRescaleError) as from_solve:
+            solve_qep(QuadraticPencil(damping_total=C, stiffness_total=S))
+        with pytest.raises(OverflowRescaleError) as from_poly:
+            poly_roots(np.array([1.0, np.inf, 0.0]))
+        assert str(from_classify.value) == str(from_solve.value) \
+            == str(from_poly.value)
+        assert "rescale the pencil" in str(from_solve.value)

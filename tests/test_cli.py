@@ -278,8 +278,15 @@ class TestMain:
 
     def test_removed_tol_exit2(self, tmp_path, capsys):
         path = self.write(tmp_path, FIG1B_REPORT)
-        assert main([path, "--tol", "ep_disc_rtol=1e-10"]) == 2
-        assert "ep_disc_rtol" in capsys.readouterr().err
+        for key in ("ep_disc_rtol", "cluster_rtol"):
+            assert main([path, "--tol", f"{key}=1e-10"]) == 2
+            assert key in capsys.readouterr().err
+
+    def test_fig1_rejected_row_exit1(self, tmp_path, capsys):
+        # fig1's exact rows have worst scaled root residuals up to 1.9e-17
+        path = self.write(tmp_path, f"command = fig1\noutput.path = {tmp_path}/out\n")
+        assert main([path, "--tol", "poly_residual=1e-18"]) == 1
+        assert "root residual" in capsys.readouterr().err
 
     def test_tol_override_applies(self, tmp_path):
         path = self.write(tmp_path, FIG1B_REPORT

@@ -101,7 +101,7 @@ class TestParse:
     def test_tolerance_keys(self):
         cfg = parse_config("command = spectrum\ntolerance.poly_residual = 1e-11\n")
         assert cfg.tolerances == {"poly_residual": 1e-11}
-        for key in ("bogus", "conj_closure", "ep_disc_rtol"):
+        for key in ("bogus", "conj_closure", "ep_disc_rtol", "cluster_rtol"):
             with pytest.raises(ConfigError):
                 parse_config(f"command = spectrum\ntolerance.{key} = 1\n")
 

@@ -3,9 +3,9 @@ import pytest
 
 from conftest import FIG_D, FIG_K, pairing_distance, random_symmetric
 from gyrospec import qep
-from gyrospec.errors import ConvergenceError, OverflowRescaleError, ShapeError
+from gyrospec.errors import ConvergenceError, ShapeError
 from gyrospec.model import PerturbationSet, RotorModel, build_pencil
-from gyrospec.qep import (CharPoly, char_poly, charpoly_of_matrix,
+from gyrospec.qep import (char_poly, charpoly_of_matrix,
                           cluster_eigenvalues, companion_matrix,
                           max_growth_rate, poly_roots, roots_batch,
                           scaled_residuals, solve_qep)
@@ -24,7 +24,7 @@ def pencil_at(model, **gains):
 class TestCharPoly:
     def test_unperturbed_doublet(self, model1):
         p = char_poly(pencil_at(model1, D=np.zeros((2, 2)), K=np.zeros((2, 2))))
-        assert np.allclose(p.coefficients, (1.0, 0.0, 2.0, 0.0, 1.0), atol=1e-14)
+        assert np.allclose(p, (1.0, 0.0, 2.0, 0.0, 1.0), atol=1e-14)
 
     def test_static_circulatory_coefficients(self, model1):
         # lambda^4 + (2 w1^2 + kappa trK) lambda^2
@@ -42,7 +42,7 @@ class TestCharPoly:
             expected = (1.0, 0.0, 2 * w1 ** 2 + kappa * trK, 0.0,
                         kappa ** 2 * detK + kappa * w1 ** 2 * trK
                         + nu ** 2 + w1 ** 4)
-            assert np.allclose(p.coefficients, expected, rtol=1e-12, atol=1e-12)
+            assert np.allclose(p, expected, rtol=1e-12, atol=1e-12)
 
     def test_matches_determinant(self, model1):
         rng = np.random.default_rng(8)
@@ -50,23 +50,18 @@ class TestCharPoly:
         p = char_poly(pen)
         for _ in range(10):
             lam = complex(rng.normal(), rng.normal())
-            assert abs(p(lam) - np.linalg.det(pen(lam))) < 1e-10 * (1 + abs(lam)) ** 4
+            assert abs(np.polyval(p, lam) - np.linalg.det(pen(lam))) \
+                < 1e-10 * (1 + abs(lam)) ** 4
 
     def test_gyroscopic_roots(self, model1):
         pen = pencil_at(model1, D=np.zeros((2, 2)), K=np.zeros((2, 2)), Omega=0.5)
         roots = poly_roots(char_poly(pen))
         assert pairing_distance(roots, [1.5j, -1.5j, 0.5j, -0.5j]) < 1e-10
 
-    def test_rejects_nonmonic_and_overflow(self):
-        with pytest.raises(ShapeError):
-            CharPoly((2.0, 1.0, 1.0))
-        with pytest.raises(OverflowRescaleError):
-            CharPoly((1.0, np.inf, 0.0))
-
 
 class TestPolyRoots:
     def test_double_conjugate_pair(self):
-        roots = poly_roots(CharPoly((1.0, 0.0, 2.0, 0.0, 1.0)))
+        roots = poly_roots(np.array([1.0, 0.0, 2.0, 0.0, 1.0]))
         clusters = cluster_eigenvalues(roots)
         assert sorted(m for _, m, _ in clusters) == [2, 2]
         centers = sorted((c for c, _, _ in clusters), key=lambda z: z.imag)
@@ -79,10 +74,9 @@ class TestPolyRoots:
         nu = 0.2
         kappa0 = 2 * nu / np.sqrt(5)
         omega0 = np.sqrt(1 + nu * 3 / np.sqrt(5))
-        p = char_poly(pencil_at(model1, D=np.zeros((2, 2)), kappa=kappa0, nu=nu))
-        a = p.coefficients
+        a = char_poly(pencil_at(model1, D=np.zeros((2, 2)), kappa=kappa0, nu=nu))
         assert abs(a[2] ** 2 - 4 * a[4]) < 1e-10 * max(a[2] ** 2, abs(4 * a[4]))
-        clusters = cluster_eigenvalues(poly_roots(p))
+        clusters = cluster_eigenvalues(poly_roots(a))
         assert sorted(m for _, m, _ in clusters) == [2, 2]
         for center, _, _ in clusters:
             assert abs(abs(center.imag) - omega0) < 1e-8
@@ -293,9 +287,9 @@ class TestOracleEquivalence:
             for _ in range(50):
                 pen = random_pencil(rng, n)
                 p = char_poly(pen)
-                scale = max(abs(c) for c in p.coefficients)
+                scale = np.abs(p).max()
                 for lam in solve_qep(pen, want_vectors=False).eigenvalues:
-                    bound = 1e-8 * scale * (1 + abs(lam)) ** p.degree
+                    bound = 1e-8 * scale * (1 + abs(lam)) ** (len(p) - 1)
                     assert abs(np.linalg.det(pen(lam))) < bound
 
     def test_conjugate_closure(self):
