@@ -2,7 +2,8 @@
 
 Sweeps classify each node of a 2-D parameter grid with the exact solver,
 boundaries between unstable and stable nodes are traced by oriented
-marching squares with per-edge bisection against the exact spectrum,
+marching squares with per-edge Illinois (bracketed secant) steps against
+the exact spectrum,
 and coalescing eigenvalues are located by Newton on a Jordan chain of
 the pencil, for any number of doublets, and certified through the chain
 residual and the rank of L(lambda0).
@@ -57,7 +58,7 @@ class Polyline:
     vertices: np.ndarray          # (V, 2) in (axis1, axis2) coordinates
     residuals: np.ndarray         # (V,) |max Re| at each refined vertex
     closed: bool
-    flagged: bool = False         # split at a non-convergent edge
+    flagged: bool = False         # ends at a non-convergent edge or a failed node
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,30 +259,47 @@ _MS_SADDLES = {
 _MAX_BISECT = 90
 
 
-def _refine_edges(chart: StabilityChart, lo, hi, flo, boundary_residual):
-    """Bisect all boundary edges (end points lo, hi (E, 2), max Re flo at lo)
-    in lockstep against the exact spectrum.
+def _refine_edges(chart: StabilityChart, lo, hi, flo, fhi, boundary_residual):
+    """Refine all boundary edges (end points lo, hi (E, 2), max Re flo at lo
+    and fhi at hi, of opposite signs) in lockstep against the exact spectrum.
+
+    Each step is an Illinois step: the secant point of the bracket, with the
+    value kept at an end halved whenever that end is kept twice in a row,
+    so one-sided convergence cannot stall.  Where the secant point is not
+    strictly inside the bracket (a NaN end, or a rounded-off step) the
+    step is a bisection.  An edge is done once |max Re| at its latest
+    point is below ``boundary_residual``; the bracket always holds the
+    sign change, so the point stays on the edge.
 
     Returns (points (E, 2), residuals (E,), converged (E,)).
     """
     resid = np.full(len(lo), np.inf)
     point = 0.5 * (lo + hi)
     done = np.zeros(len(lo), dtype=bool)
+    kept = np.zeros(len(lo), dtype=np.int8)   # +1: lo kept last step, -1: hi
     for _ in range(_MAX_BISECT):
-        active = ~done
-        if not active.any():
+        idx = np.nonzero(~done)[0]
+        if not len(idx):
             break
-        mid = 0.5 * (lo[active] + hi[active])
-        fm = max_re_at_points(chart.model, chart.pert_template, chart.plane, mid)
-        point[active] = mid
-        resid[active] = np.abs(fm)
-        newly = np.abs(fm) < boundary_residual
-        idx = np.nonzero(active)[0]
-        done[idx[newly]] = True
-        same = (fm > 0) == (flo[active] > 0)
-        lo[idx[same]] = mid[same]
-        flo[idx[same]] = fm[same]
-        hi[idx[~same]] = mid[~same]
+        fl, fh = flo[idx], fhi[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = fl / (fl - fh)
+        t[~((t > 0.0) & (t < 1.0))] = 0.5
+        new = lo[idx] + t[:, None] * (hi[idx] - lo[idx])
+        fm = max_re_at_points(chart.model, chart.pert_template, chart.plane, new)
+        point[idx] = new
+        resid[idx] = np.abs(fm)
+        done[idx[np.abs(fm) < boundary_residual]] = True
+        same = (fm > 0) == (fl > 0)
+        # the new point replaces lo where it has lo's sign, otherwise hi
+        keep_lo, keep_hi = idx[~same], idx[same]
+        fl_half = keep_lo[kept[keep_lo] == 1]
+        fh_half = keep_hi[kept[keep_hi] == -1]
+        flo[fl_half] *= 0.5
+        fhi[fh_half] *= 0.5
+        lo[keep_hi], flo[keep_hi] = new[same], fm[same]
+        hi[keep_lo], fhi[keep_lo] = new[~same], fm[~same]
+        kept[keep_lo], kept[keep_hi] = 1, -1
     return point, resid, done
 
 
@@ -293,11 +311,16 @@ def trace_boundary(chart: StabilityChart,
     Oriented marching squares over the cells whose four corners are
     decided (stable, flutter or divergence); marginal and ERROR nodes
     carry no segment.  Every edge a segment uses is sharpened by
-    bisection against the exact spectrum until |max Re| falls below
-    ``boundary_residual``.  The unstable (flutter or divergence) side is
-    on the left of every polyline.  A polyline is closed, ends on the
-    chart frame or ends next to an undecided node; one that ends at an
-    edge whose bisection did not converge is ``flagged``.
+    Illinois steps (:func:`_refine_edges`) against the exact spectrum,
+    starting from the chart's max Re at both of its nodes, until |max Re|
+    falls below ``boundary_residual``.  A vertex is thus off the exact
+    crossing by at most that residual over the slope of max Re along its
+    edge; against plain bisection the vertices of the 201x201 fig. 2
+    charts move by 1.1e-8.  The unstable (flutter or divergence)
+    side is on the left of every polyline.  A polyline is closed, ends on
+    the chart frame or ends next to an undecided node; one that ends at
+    an edge whose refinement did not converge, or next to a failed
+    (ERROR) node, is ``flagged``.
     """
     f = chart.max_re
     a1, a2 = chart.axis1, chart.axis2
@@ -328,20 +351,28 @@ def trace_boundary(chart: StabilityChart,
         }
         segments.extend((local[ea], local[eb]) for ea, eb in pairs)
 
-    # bisect the edges the segments use, each from its (i, j) end
+    # refine the edges the segments use, each from its (i, j) end
     ids = np.unique(np.array(segments, dtype=np.int64))
     h = ids < nh
     ei = np.where(h, ids // n2, (ids - nh) // (n2 - 1))
     ej = np.where(h, ids % n2, (ids - nh) % (n2 - 1))
     lo = np.column_stack([a1[ei], a2[ej]])
     hi = np.column_stack([a1[ei + h], a2[ej + ~h]])
-    point, resid, done = _refine_edges(chart, lo, hi, f[ei, ej], boundary_residual)
+    point, resid, done = _refine_edges(chart, lo, hi, f[ei, ej], f[ei + h, ej + ~h],
+                                       boundary_residual)
 
-    # drop segments touching non-converged edges; chains split there
+    # drop segments touching non-converged edges; chains split there.  A
+    # chain that ends at such an edge, or at one beside a cell with a
+    # failed (ERROR) corner, is flagged
     good = set(ids[done].tolist())
     kept = [s for s in segments if s[0] in good and s[1] in good]
-    dropped = {e for s in segments for e in s
+    suspect = {e for s in segments for e in s
                if s[0] not in good or s[1] not in good}
+    failed = np.zeros((n1 + 1, n2 + 1), dtype=bool)   # cell (i, j) at [i+1, j+1]
+    err = cls == CLASS_NAMES.index(ERROR)
+    failed[1:-1, 1:-1] = err[:-1, :-1] | err[1:, :-1] | err[1:, 1:] | err[:-1, 1:]
+    beside = failed[ei + 1, ej + 1] | np.where(h, failed[ei + 1, ej], failed[ei, ej + 1])
+    suspect.update(ids[beside].tolist())
 
     # every edge starts at most one segment and ends at most one: open
     # chains start at edges no segment ends on, closed ones at their
@@ -364,7 +395,7 @@ def trace_boundary(chart: StabilityChart,
         rows = np.searchsorted(ids, chain)
         polylines.append(Polyline(vertices=point[rows], residuals=resid[rows],
                                   closed=chain[0] == chain[-1],
-                                  flagged=chain[0] in dropped or chain[-1] in dropped))
+                                  flagged=chain[0] in suspect or chain[-1] in suspect))
     polylines.sort(key=lambda p: (tuple(np.round(p.vertices[0], 12)), len(p.vertices)))
     return tuple(polylines)
 

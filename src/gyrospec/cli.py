@@ -90,21 +90,26 @@ def _axis(values: tuple) -> np.ndarray:
 
 
 _SWEEP_HEADER = "Omega,kappa,delta,nu,max_re,im_at_max,class"
-_SWEEP_LINE = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
 _BOUNDARY_HEADER = "param1,param2,max_re_residual"
 _CLASS_NAMES = np.array(atlas.CLASS_NAMES, dtype=object)
 
 
 def _sweep_text(chart: atlas.StabilityChart) -> str:
-    """Sweep CSV body, formatted one axis-1 row (len(axis2) lines) at a time."""
-    n2 = len(chart.axis2)
-    cols = {name: [float(value)] * n2 for name, value in chart.fixed.items()}
-    cols[chart.plane[1]] = chart.axis2.tolist()
+    """Sweep CSV body, formatted one axis-1 row (len(axis2) lines) at a time.
+
+    The fixed gains and the axis-2 values are formatted once per chart and
+    each axis-1 value once per row, all with ``"%.17g"``; a row's lines
+    then format only max_re and im_at_max.
+    """
+    params = {name: "%.17g" % float(value) for name, value in chart.fixed.items()}
+    params[chart.plane[1]] = "%s"
+    axis2 = ["%.17g" % x for x in chart.axis2.tolist()]
     blocks = []
     for i, a1 in enumerate(chart.axis1.tolist()):
-        cols[chart.plane[0]] = [a1] * n2
-        blocks.append(_table(_SWEEP_LINE, *(cols[p] for p in atlas.PARAM_NAMES),
-                             chart.max_re[i].tolist(), chart.im_at_max[i].tolist(),
+        params[chart.plane[0]] = "%.17g" % a1
+        line = ",".join(params[p] for p in atlas.PARAM_NAMES) + ",%.17g,%.17g,%s\n"
+        blocks.append(_table(line, axis2, chart.max_re[i].tolist(),
+                             chart.im_at_max[i].tolist(),
                              _CLASS_NAMES[chart.class_codes[i]].tolist()))
     return "".join(blocks)
 
@@ -134,6 +139,19 @@ def run(cfg: RunConfig, out_dir: str | None = None,
 
     def emit(name: str, header: str, body: str):
         written.append(_write_atomic(out / name, header + "\n" + body))
+
+    def figure_chart(pert: PerturbationSet, window, sweep_name: str,
+                     boundary_name: str):
+        """A 201x201 (Omega, kappa) chart over window: its sweep and
+        boundary CSVs."""
+        (olo, ohi), (klo, khi) = window
+        chart = atlas.sweep2d(model, pert, ("Omega", "kappa"),
+                              (np.linspace(olo, ohi, 201), np.linspace(klo, khi, 201)),
+                              marginal_rtol=tol.marginal_rtol,
+                              poly_residual=tol.poly_residual)
+        emit(sweep_name, _SWEEP_HEADER, _sweep_text(chart))
+        polylines = atlas.trace_boundary(chart, boundary_residual=tol.boundary_residual)
+        emit(boundary_name, _BOUNDARY_HEADER, _boundary_text(polylines))
 
     command = cfg.command
     if command == "spectrum":
@@ -240,34 +258,15 @@ def run(cfg: RunConfig, out_dir: str | None = None,
                     f"got A={A}, detD={detD}")
             if sign == "negative" and not A < 0:
                 raise GyrospecError(f"fig2(c) preset needs A < 0, got A={A}")
-            pert = _build_template(cfg, tol, D=D)
-            (olo, ohi), (klo, khi) = _FIG2_WINDOWS[label]
-            chart = atlas.sweep2d(model, pert, ("Omega", "kappa"),
-                                  (np.linspace(olo, ohi, 201),
-                                   np.linspace(klo, khi, 201)),
-                                  marginal_rtol=tol.marginal_rtol,
-                                  poly_residual=tol.poly_residual)
-            emit(f"fig2{label}_sweep.csv", _SWEEP_HEADER, _sweep_text(chart))
-            polylines = atlas.trace_boundary(
-                chart, boundary_residual=tol.boundary_residual)
-            emit(f"fig2{label}_boundary.csv", _BOUNDARY_HEADER,
-                 _boundary_text(polylines))
+            figure_chart(_build_template(cfg, tol, D=D), _FIG2_WINDOWS[label],
+                         f"fig2{label}_sweep.csv", f"fig2{label}_boundary.csv")
 
     elif command == "fig3":
-        (olo, ohi), (klo, khi) = _FIG3_WINDOW
         for delta in cfg.fig3_deltas:
-            pert = _build_template(cfg, tol, delta=delta)
-            chart = atlas.sweep2d(model, pert, ("Omega", "kappa"),
-                                  (np.linspace(olo, ohi, 201),
-                                   np.linspace(klo, khi, 201)),
-                                  marginal_rtol=tol.marginal_rtol,
-                                  poly_residual=tol.poly_residual)
             tag = _tag(delta)
-            emit(f"fig3_sweep_delta_{tag}.csv", _SWEEP_HEADER, _sweep_text(chart))
-            polylines = atlas.trace_boundary(
-                chart, boundary_residual=tol.boundary_residual)
-            emit(f"fig3_boundary_delta_{tag}.csv", _BOUNDARY_HEADER,
-                 _boundary_text(polylines))
+            figure_chart(_build_template(cfg, tol, delta=delta), _FIG3_WINDOW,
+                         f"fig3_sweep_delta_{tag}.csv",
+                         f"fig3_boundary_delta_{tag}.csv")
 
     else:  # pragma: no cover - parse_config already rejects unknown commands
         raise ConfigError(f"unhandled command {command!r}")

@@ -202,9 +202,15 @@ def pencil_coefficients(model: RotorModel, pert: PerturbationSet,
 
 
 def build_pencil(model: RotorModel, pert: PerturbationSet) -> QuadraticPencil:
-    """Assemble the perturbed pencil at one operating point."""
-    C, S = pencil_coefficients(model, pert, pert.Omega, pert.delta,
-                               pert.kappa, pert.nu)
+    """Assemble the perturbed pencil at one operating point.
+
+    The gains are taken as numpy floats, so a gain whose square overflows
+    gives inf (and NaN) coefficients for the solver's overflow gate to
+    reject, not a Python OverflowError.
+    """
+    gains = map(np.float64, (pert.Omega, pert.delta, pert.kappa, pert.nu))
+    with np.errstate(over="ignore", invalid="ignore"):
+        C, S = pencil_coefficients(model, pert, *gains)
     return QuadraticPencil(damping_total=C, stiffness_total=S)
 
 

@@ -398,23 +398,26 @@ def perturbation_report(model: RotorModel, pert: PerturbationSet) -> Perturbatio
             f"model has {model.n} doublets"
         )
     md = modal_data(pert.D, pert.K, model.omegas[0])
-    c = coupling_c(md, pert.Omega, pert.delta, pert.kappa, pert.nu)
-    lam = approx_eigenvalues(md, pert.Omega, pert.delta, pert.kappa, pert.nu)
     A = invariant_A(pert.D, pert.K)
-    B = criterion_B(md, pert.D, pert.K, pert.Omega, pert.kappa,
-                    pert.delta, pert.nu)
-    if md.rho1 == md.rho2:
-        b0 = kappa0 = omega0 = math.nan
-    else:
-        b0 = beta0(pert.D, pert.K)
-        try:
-            kappa0, omega0 = ep_location(pert.K, md.omega1, pert.nu)
-        except SingularConfigurationError:
-            kappa0 = omega0 = math.nan
-    om_cr = omega_cr_nu(pert.D, md.omega1, pert.delta, pert.nu)
-    dL0 = 1j * md.omega1 * pert.delta * pert.D + pert.kappa * pert.K \
-        + pert.nu * pert.N
-    eps = float(np.linalg.norm(dL0))
+    # numpy float gains: a square too large gives inf or NaN here, for the
+    # solver's overflow gate to reject, not a Python OverflowError
+    Omega, delta, kappa, nu = map(np.float64, (pert.Omega, pert.delta,
+                                               pert.kappa, pert.nu))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = coupling_c(md, Omega, delta, kappa, nu)
+        lam = approx_eigenvalues(md, Omega, delta, kappa, nu)
+        B = criterion_B(md, pert.D, pert.K, Omega, kappa, delta, nu)
+        if md.rho1 == md.rho2:
+            b0 = kappa0 = omega0 = math.nan
+        else:
+            b0 = beta0(pert.D, pert.K)
+            try:
+                kappa0, omega0 = ep_location(pert.K, md.omega1, nu)
+            except SingularConfigurationError:
+                kappa0 = omega0 = math.nan
+        om_cr = omega_cr_nu(pert.D, md.omega1, delta, nu)
+        dL0 = 1j * md.omega1 * delta * pert.D + kappa * pert.K + nu * pert.N
+        eps = float(np.linalg.norm(dL0))
     return PerturbationReport(
         c=c, lambda_approx=tuple(lam), A=A, beta0=b0, kappa0=kappa0,
         omega0=omega0, Omega_cr_nu=om_cr, B=B, epsilon=eps,

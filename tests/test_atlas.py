@@ -424,6 +424,16 @@ class TestTraceAnalyticField:
         assert a2[j] < v[1] < a2[j + 1]
         return ("v", int(np.nonzero(a1 == v[0])[0][0]), j)
 
+    def beside_failed(self, f, v):
+        """Whether a node of a cell on either side of the edge that vertex
+        v lies on is failed (NaN)."""
+        kind, i, j = self.edge_of(v)
+        if kind == "h":
+            block = f[i:i + 2, max(j - 1, 0):j + 2]
+        else:
+            block = f[max(i - 1, 0):i + 2, j:j + 2]
+        return bool(np.isnan(block).any())
+
     @staticmethod
     def crossings(f):
         """Edges between finite nodes of opposite sign."""
@@ -436,7 +446,7 @@ class TestTraceAnalyticField:
 
     def trace(self, monkeypatch, chart):
         """trace_boundary on the field; also returns the edges whose
-        midpoints went to the first solver call (the first bisection step)."""
+        points went to the first solver call (the first refinement step)."""
         calls = []
 
         def field(model, pert, plane, pts):
@@ -462,7 +472,7 @@ class TestTraceAnalyticField:
         center = 0.25 * (f[:-1, :-1] + f[1:, :-1] + f[1:, 1:] + f[:-1, 1:])
         keep_first = (center > 0) == sign[:-1, :-1]
         assert (saddle & keep_first).any() and (saddle & ~keep_first).any()
-        assert len(nan_nodes) >= 3
+        assert len(nan_nodes) == 7
 
         crossing = self.crossings(f)
         polys, bisected = self.trace(monkeypatch, chart)
@@ -470,8 +480,11 @@ class TestTraceAnalyticField:
         for pl in polys:
             verts = pl.vertices[:-1] if pl.closed else pl.vertices
             on_edge += [self.edge_of(v) for v in verts]
-            assert not pl.flagged
-            # |g| below the bisection tolerance at every vertex
+            # flagged exactly when an end lies beside a failed node
+            assert pl.flagged == (not pl.closed and (
+                self.beside_failed(f, pl.vertices[0])
+                or self.beside_failed(f, pl.vertices[-1])))
+            # |g| below the refinement tolerance at every vertex
             assert np.abs(self.field(pl.vertices)).max() < DEFAULT.boundary_residual
             # g > 0 a twentieth of a cell left of every segment
             step = np.array([self.axis1[1] - self.axis1[0],
@@ -482,12 +495,13 @@ class TestTraceAnalyticField:
             mid = 0.5 * (pl.vertices[1:] + pl.vertices[:-1])
             assert (self.field(mid + 0.05 * left * step) > 0).all()
 
+        assert any(pl.flagged for pl in polys) and not all(pl.flagged for pl in polys)
         # one vertex on every edge between finite nodes of opposite sign,
         # none on an edge that touches a failed node
         assert sorted(on_edge) == sorted(crossing)
         for kind, i, j in on_edge:
             assert ok[i, j] and (ok[i + 1, j] if kind == "h" else ok[i, j + 1])
-        # the first bisection step gets exactly the edges that carry a vertex
+        # the first refinement step gets exactly the edges that carry a vertex
         assert bisected == sorted(on_edge)
 
     def test_bisects_only_edges_with_vertices(self, monkeypatch):
@@ -501,13 +515,14 @@ class TestTraceAnalyticField:
         assert bisected == on_edge
 
     def test_unconverged_edge_splits_and_flags(self, monkeypatch):
-        # |g| stays at 1e-3 along one edge inside an open polyline, so its
-        # bisection never converges: the polyline splits there into two
-        # flagged pieces
+        # |g| stays at 1e-3 along one edge inside an unflagged open polyline,
+        # so its refinement never converges: the polyline splits there into
+        # two flagged pieces, and every other polyline stays as it was
         chart, _ = self.chart()
         polys, _ = self.trace(monkeypatch, chart)
-        whole = max(polys, key=lambda pl: len(pl.vertices))
-        assert not whole.closed and not any(pl.flagged for pl in polys)
+        whole = max((pl for pl in polys if not pl.flagged),
+                    key=lambda pl: len(pl.vertices))
+        assert not whole.closed
         cut = whole.vertices[len(whole.vertices) // 2]
         edge = self.edge_of(cut)
 
@@ -519,8 +534,13 @@ class TestTraceAnalyticField:
         monkeypatch.setattr(atlas, "max_re_at_points", field)
         split = trace_boundary(chart)
         assert len(split) == len(polys) + 1
-        pieces = [pl for pl in split if pl.flagged]
-        assert len(pieces) == 2
+
+        def same(a, b):
+            return a.vertices.shape == b.vertices.shape \
+                and np.array_equal(a.vertices, b.vertices) and a.flagged == b.flagged
+
+        pieces = [pl for pl in split if not any(same(pl, q) for q in polys)]
+        assert len(pieces) == 2 and all(pl.flagged for pl in pieces)
         assert sum(len(pl.vertices) for pl in pieces) == len(whole.vertices) - 1
         assert not any(np.all(pl.vertices == cut, axis=1).any() for pl in split)
 

@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gyrospec import atlas
+from gyrospec import atlas, qep
 from gyrospec.cli import main, run
 from gyrospec.config import parse_config
 from gyrospec.model import PerturbationSet, RotorModel
 from gyrospec.perturbation import perturbation_report
+from gyrospec.tolerances import DEFAULT
 
 FIG1B_REPORT = """
 command = report
@@ -127,7 +128,15 @@ class TestCsvFormat:
             return "nan" if x is None else f"{float(x):.17g}"
         return "".join(",".join(map(fmt, row)) + "\n" for row in rows)
 
-    def test_sweep(self, tmp_path, monkeypatch):
+    AXES = {"Omega": "-0.4:0.4", "kappa": "-0.2:0.2", "delta": "0:0.3",
+            "nu": "-0.1:0.1"}
+    GAINS = {"Omega": "0.1", "kappa": "0.05", "delta": "0.3", "nu": "-0.0"}
+
+    @pytest.mark.parametrize("plane", [("Omega", "kappa"), ("Omega", "delta"),
+                                       ("Omega", "nu"), ("kappa", "delta"),
+                                       ("kappa", "nu"), ("delta", "nu")],
+                             ids="-".join)
+    def test_sweep(self, tmp_path, monkeypatch, plane):
         charts = []
 
         def doctored(*args, **kwargs):
@@ -145,9 +154,16 @@ class TestCsvFormat:
 
         sweep2d = atlas.sweep2d
         monkeypatch.setattr(atlas, "sweep2d", doctored)
-        path = run(parse_config(self.CHART.format("sweep", 6, 4)),
-                   out_dir=str(tmp_path))[0]
+        text = ("command = sweep\nmodel.n = 1\nmodel.omegas = 1.0\n"
+                "matrices.D = -1,0,0,2\nmatrices.K = 1,1,1,2\n"
+                "matrices.N = 0,1,-1,0\n"
+                + "".join(f"gains.{name} = {value}\n"
+                          for name, value in self.GAINS.items() if name not in plane)
+                + f"axes.{plane[0]} = {self.AXES[plane[0]]}:6\n"
+                + f"axes.{plane[1]} = {self.AXES[plane[1]]}:4\n")
+        path = run(parse_config(text), out_dir=str(tmp_path))[0]
         chart, = charts
+        assert chart.plane == plane
         rows = []
         for i in range(len(chart.axis1)):
             for j in range(len(chart.axis2)):
@@ -214,7 +230,21 @@ class TestFigurePresets:
         assert abs(tips[0.05][1] - beta0) < abs(tips[0.2][1] - beta0)
         assert abs(tips[0.05][1] - beta0) < 0.06
 
-    def test_fig2_morphology_files(self, tmp_path):
+    def test_fig2_morphology_files(self, tmp_path, monkeypatch):
+        # solver points spent on the boundary vertices of each chart
+        points = []
+        trace, max_re = atlas.trace_boundary, atlas.max_re_at_points
+
+        def counted_trace(*args, **kwargs):
+            points.append(0)
+            return trace(*args, **kwargs)
+
+        def counted_max_re(model, pert, plane, pts):
+            points[-1] += len(pts)
+            return max_re(model, pert, plane, pts)
+
+        monkeypatch.setattr(atlas, "trace_boundary", counted_trace)
+        monkeypatch.setattr(atlas, "max_re_at_points", counted_max_re)
         files = run(parse_config("command = fig2\n"), out_dir=str(tmp_path))
         assert sorted(f.name for f in files) == [
             "fig2a_boundary.csv", "fig2a_sweep.csv",
@@ -228,6 +258,17 @@ class TestFigurePresets:
         # (c) two open branches
         text = (tmp_path / "fig2c_boundary.csv").read_text().strip()
         assert len(text.split("\n\n")) == 2
+        # the 201x201 charts keep their vertex counts, every vertex within
+        # boundary_residual, with Illinois steps spending at most 2,000 and
+        # 2,500 solver points (plain bisection spent 5,678 and 8,822)
+        assert len(points) == 2
+        for (label, vertices, most), spent in zip(
+                (("a", 327, 2000), ("c", 446, 2500)), points):
+            text = (tmp_path / f"fig2{label}_boundary.csv").read_text()
+            rows = [line.split(",") for line in text.split("\n")[1:] if line]
+            assert len(rows) == vertices
+            assert max(float(r[2]) for r in rows) < DEFAULT.boundary_residual
+            assert spent <= most
 
 
 class TestMain:
@@ -256,6 +297,19 @@ class TestMain:
                           "gains.Omega = 0\n")
         assert main([path]) == 1
         assert "infinite period" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spectrum", "report"])
+    @pytest.mark.parametrize("gain", ["Omega", "delta", "kappa", "nu"])
+    def test_huge_gain_overflow_exit1(self, tmp_path, capsys, command, gain):
+        # squares of gains this large overflow a double: the solver's
+        # overflow gate answers, no Python OverflowError escapes
+        text = "".join(line + "\n" for line in FIG1B_REPORT.splitlines()
+                       if not line.startswith(f"gains.{gain}"))
+        path = self.write(tmp_path, text.replace("report", command)
+                          + f"gains.{gain} = 1e160\noutput.path = {tmp_path}/out\n")
+        assert main([path]) == 1
+        assert qep._OVERFLOW_MESSAGE in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_duality_gate_exit1(self, tmp_path, capsys):
         path = self.write(tmp_path,
