@@ -132,11 +132,25 @@ class TestCsvFormat:
             "nu": "-0.1:0.1"}
     GAINS = {"Omega": "0.1", "kappa": "0.05", "delta": "0.3", "nu": "-0.0"}
 
+    def test_sweep(self, tmp_path, monkeypatch):
+        self.check_sweep(tmp_path, monkeypatch, self.CHART.format("sweep", 6, 4),
+                         ("Omega", "kappa"))
+
     @pytest.mark.parametrize("plane", [("Omega", "kappa"), ("Omega", "delta"),
                                        ("Omega", "nu"), ("kappa", "delta"),
                                        ("kappa", "nu"), ("delta", "nu")],
                              ids="-".join)
-    def test_sweep(self, tmp_path, monkeypatch, plane):
+    def test_sweep_planes(self, tmp_path, monkeypatch, plane):
+        text = ("command = sweep\nmodel.n = 1\nmodel.omegas = 1.0\n"
+                "matrices.D = -1,0,0,2\nmatrices.K = 1,1,1,2\n"
+                "matrices.N = 0,1,-1,0\n"
+                + "".join(f"gains.{name} = {value}\n"
+                          for name, value in self.GAINS.items() if name not in plane)
+                + f"axes.{plane[0]} = {self.AXES[plane[0]]}:6\n"
+                + f"axes.{plane[1]} = {self.AXES[plane[1]]}:4\n")
+        self.check_sweep(tmp_path, monkeypatch, text, plane)
+
+    def check_sweep(self, tmp_path, monkeypatch, text, plane):
         charts = []
 
         def doctored(*args, **kwargs):
@@ -154,13 +168,6 @@ class TestCsvFormat:
 
         sweep2d = atlas.sweep2d
         monkeypatch.setattr(atlas, "sweep2d", doctored)
-        text = ("command = sweep\nmodel.n = 1\nmodel.omegas = 1.0\n"
-                "matrices.D = -1,0,0,2\nmatrices.K = 1,1,1,2\n"
-                "matrices.N = 0,1,-1,0\n"
-                + "".join(f"gains.{name} = {value}\n"
-                          for name, value in self.GAINS.items() if name not in plane)
-                + f"axes.{plane[0]} = {self.AXES[plane[0]]}:6\n"
-                + f"axes.{plane[1]} = {self.AXES[plane[1]]}:4\n")
         path = run(parse_config(text), out_dir=str(tmp_path))[0]
         chart, = charts
         assert chart.plane == plane
