@@ -19,11 +19,8 @@ from .model import (
 )
 from .qep import (
     Spectrum,
-    char_poly,
     cluster_eigenvalues,
-    companion_matrix,
     max_growth_rate,
-    poly_roots,
     solve_qep,
 )
 from .perturbation import (

@@ -130,9 +130,9 @@ def classify(model: RotorModel, pert: PerturbationSet,
 
     A one-point call of :func:`eigenvalues_at_points`, so it agrees
     exactly with :func:`sweep2d` and :func:`~gyrospec.qep.solve_qep` at
-    the same node.  Raises through :func:`~gyrospec.qep.accepted`:
-    OverflowRescaleError when the characteristic coefficients overflow
-    and ConvergenceError when a root residual is above ``poly_residual``.
+    the same node.  Raises through :func:`~gyrospec.qep.accepted` at
+    ``poly_residual``; :func:`~gyrospec.qep.pencil_eigenvalues` states
+    the model sizes its eigenvalues are verified for.
     """
     pts = np.array([[pert.Omega, pert.kappa]])
     eigs = accepted(*eigenvalues_at_points(model, pert, ("Omega", "kappa"), pts),
@@ -152,14 +152,9 @@ def eigenvalues_at_points(model: RotorModel, pert: PerturbationSet,
 
     Returns (eigenvalues (M, 4n), scaled poly residuals (M, 4n)) from one
     :func:`~gyrospec.qep.pencil_eigenvalues` call on the (M, 2n, 2n)
-    pencil stack, for every model size.  Rows whose coefficients overflow
-    come back as NaN eigenvalues with inf residuals; acceptance is
-    :func:`~gyrospec.qep.rejected`.
-
-    The path agrees with LAPACK ``eigvals`` of the companion matrix for
-    n <= 3 (the oracle tests); for n >= 4 the degree-4n characteristic
-    polynomial is ill-conditioned, the result is not verified and rows
-    may fail the residual gate of :func:`sweep2d`.
+    pencil stack, for every model size; that function states what an
+    overflowing row returns and which model sizes are verified.
+    Acceptance is :func:`~gyrospec.qep.rejected`.
     """
     pts = np.asarray(pts, dtype=float)
     gains = {name: np.full((len(pts), 1, 1), getattr(pert, name))

@@ -157,8 +157,7 @@ def run(cfg: RunConfig, out_dir: str | None = None,
     if command == "spectrum":
         pert = _build_template(cfg, tol)
         spectrum = qep.solve_qep(build_pencil(model, pert),
-                                 residual_tol=tol.poly_residual,
-                                 qep_residual_rtol=tol.qep_residual_rtol)
+                                 residual_tol=tol.poly_residual)
         lam = spectrum.eigenvalues
         emit("spectrum.csv", "re,im,residual",
              _table("%.17g,%.17g,%.17g\n", lam.real.tolist(), lam.imag.tolist(),
@@ -221,7 +220,8 @@ def run(cfg: RunConfig, out_dir: str | None = None,
         ps = floquet.PeriodicSystem(model, pert)
         result = floquet.monodromy(ps, steps=cfg.floquet_steps,
                                    liouville_rtol=tol.liouville_rtol,
-                                   duality_tol=tol.duality_tol)
+                                   duality_tol=tol.duality_tol,
+                                   poly_residual=tol.poly_residual)
         mu, pr = result.multipliers, result.predicted_multipliers
         emit("floquet.csv",
              "multiplier_re,multiplier_im,predicted_re,predicted_im,"

@@ -37,7 +37,6 @@ class RunConfig:
     command: str
     n: int = 1
     omegas: tuple | None = None
-    preset: str | None = None
     D: tuple | None = None
     K: tuple | None = None
     N: tuple | None = None
@@ -158,9 +157,12 @@ def parse_config(text: str) -> RunConfig:
         elif key == "model.omegas":
             kw["omegas"] = _parse_floats(value, key, line)
         elif key == "model.preset":
+            # the string rotor is the default model; the key only names it
             if value != "string":
                 raise ConfigError(f"{key}: the only preset is 'string'", line)
-            kw["preset"] = value
+            if "model.omegas" in entries:
+                raise ConfigError(f"{key} and model.omegas both set the "
+                                  "doublet frequencies; keep one", line)
         elif section == "matrices":
             kw[name] = _parse_floats(value, key, line)
         elif section == "gains":
@@ -233,8 +235,6 @@ def emit_config(cfg: RunConfig) -> str:
         lines.append(f"model.n = {cfg.n}")
         if cfg.omegas is not None:
             lines.append("model.omegas = " + ",".join(repr(w) for w in cfg.omegas))
-        if cfg.preset is not None:
-            lines.append(f"model.preset = {cfg.preset}")
         for name in ("D", "K", "N"):
             m = getattr(cfg, name)
             if m is not None:

@@ -6,7 +6,10 @@ matrix over one period T = pi / Omega, computed as the product of the
 classical RK4 step propagators of that linear system, carries the same
 stability content as the autonomous pencil: each autonomous eigenvalue
 lambda maps onto the multiplier -exp(lambda T), the sign coming from the
-half-turn rotation exp(pi G) = -I of a single doublet.
+half-turn rotation exp(pi G) = -I of a single doublet.  The multipliers
+and det M come from LAPACK (``numpy.linalg``), the autonomous eigenvalues
+from ``qep.solve_qep``, so the duality check compares two independent
+eigensolvers.
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfinitePeriodError, ResolutionError
+from .errors import InfinitePeriodError, OverflowRescaleError, ResolutionError
 from .model import J2, RotorModel, PerturbationSet, build_pencil
-from .qep import charpoly_of_matrix, roots_batch, solve_qep
+from .qep import _OVERFLOW_MESSAGE, companion_stack, solve_qep
 from .tolerances import DEFAULT
+
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,10 +64,10 @@ class FloquetResult:
 
 
 def _rotating_frame(ps: PeriodicSystem, ts):
-    """Dt and Kt of the rotating frame at the time or times ts.
+    """Dt, Kt and the coupling -delta Omega Dt G at the time or times ts.
 
-    Each is diag(trM, trM)/2 + (M + JMJ)/2 cos 2 Omega t
-    + (JM - MJ)/2 sin 2 Omega t, of shape ts.shape + (2, 2).
+    Dt and Kt are each diag(trM, trM)/2 + (M + JMJ)/2 cos 2 Omega t
+    + (JM - MJ)/2 sin 2 Omega t; all three have shape ts.shape + (2, 2).
     """
     phase = 2.0 * ps.pert.Omega * np.asarray(ts, dtype=float)
     c = np.cos(phase)[..., None, None]
@@ -73,7 +78,8 @@ def _rotating_frame(ps: PeriodicSystem, ts):
         sym = M + J2 @ M @ J2
         rot = J2 @ M - M @ J2
         frames.append(0.5 * (np.diag([tr, tr]) + c * sym + s * rot))
-    return frames
+    Dt, Kt = frames
+    return Dt, Kt, -ps.pert.delta * ps.pert.Omega * (Dt @ ps.base.G)
 
 
 def periodic_matrices(ps: PeriodicSystem, t: float):
@@ -83,25 +89,19 @@ def periodic_matrices(ps: PeriodicSystem, t: float):
     the stiffness correction from differentiating the rotating transform;
     Nt equals N for 2 degrees of freedom.
     """
-    Dt, Kt = _rotating_frame(ps, t)
-    Nt = ps.pert.N.copy()
-    coupling = -ps.pert.delta * ps.pert.Omega * (Dt @ ps.base.G)
-    return Dt, Kt, Nt, coupling
+    Dt, Kt, coupling = _rotating_frame(ps, t)
+    return Dt, Kt, ps.pert.N.copy(), coupling
 
 
 def _system_matrix_grid(ps: PeriodicSystem, ts: np.ndarray) -> np.ndarray:
     """First-order form z' = A(t) z stacked over a time grid."""
-    Omega, delta = ps.pert.Omega, ps.pert.delta
-    Dt, Kt = _rotating_frame(ps, ts)
-    S = ps.base.P - delta * Omega * (Dt @ ps.base.G) \
-        + ps.pert.kappa * Kt + ps.pert.nu * ps.pert.N
-    A = np.zeros((len(ts), 4, 4))
-    A[:, :2, 2:] = np.eye(2)
-    A[:, 2:, :2] = -S
-    A[:, 2:, 2:] = -delta * Dt
-    return A
+    Dt, Kt, coupling = _rotating_frame(ps, ts)
+    S = ps.base.P + coupling + ps.pert.kappa * Kt + ps.pert.nu * ps.pert.N
+    return companion_stack(ps.pert.delta * Dt, S)
 
 
+# an overflowing system shows as a non-finite M, not as numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _integrate_monodromy(ps: PeriodicSystem, steps: int) -> np.ndarray:
     """Fixed-step classical Runge-Kutta over one period, columns from I.
 
@@ -173,7 +173,8 @@ def pairing_distance(a, b) -> float:
 def monodromy(ps: PeriodicSystem, steps: int = 4096,
               liouville_rtol: float = DEFAULT.liouville_rtol,
               verify_steps: bool = False,
-              duality_tol: float = DEFAULT.duality_tol) -> FloquetResult:
+              duality_tol: float = DEFAULT.duality_tol,
+              poly_residual: float = DEFAULT.poly_residual) -> FloquetResult:
     """Monodromy matrix, Floquet multipliers and the duality comparison.
 
     Integrates the 4-dimensional first-order form over T = pi / Omega
@@ -194,10 +195,20 @@ def monodromy(ps: PeriodicSystem, steps: int = 4096,
         -exp(lambda T) exceeds duality_tol * max(1, max |multiplier|):
         relative to the largest multiplier, since a strongly growing
         monodromy resolves its multipliers only to that scale.
+    poly_residual : float
+        Root residual gate of the autonomous spectrum (``qep.accepted``).
+
+    Raises OverflowRescaleError when M or its Liouville determinant
+    overflows a double.
     """
     if steps < 256:
         raise ValueError(f"steps must be >= 256, got {steps}")
     M = _integrate_monodromy(ps, steps)
+    T = ps.period
+    # Liouville: |det M| = exp(-integral tr(delta Dt) dt) = exp(-delta trD T)
+    log_det = -ps.pert.delta * float(np.trace(ps.pert.D)) * T
+    if not (np.isfinite(M).all() and log_det < _LOG_MAX):
+        raise OverflowRescaleError(_OVERFLOW_MESSAGE)
     if verify_steps:
         M_half = _integrate_monodromy(ps, steps // 2)
         drift = float(np.linalg.norm(M - M_half))
@@ -207,23 +218,20 @@ def monodromy(ps: PeriodicSystem, steps: int = 4096,
                 "increase steps"
             )
 
-    coeffs = charpoly_of_matrix(M)
-    roots, _ = roots_batch(coeffs[None, :])
-    multipliers = roots[0]
+    multipliers = np.linalg.eigvals(M).astype(complex)
+    multipliers = multipliers[np.lexsort((multipliers.imag, multipliers.real))]
 
     pencil = build_pencil(ps.base, ps.pert)
-    lam = solve_qep(pencil, want_vectors=False).eigenvalues
-    T = ps.period
+    lam = solve_qep(pencil, want_vectors=False,
+                    residual_tol=poly_residual).eigenvalues
     predicted = -np.exp(lam * T)
     order = np.lexsort((predicted.imag, predicted.real))
     predicted = predicted[order]
     multipliers = multipliers[list(best_pairing(predicted, multipliers))]
     match = float(np.abs(multipliers - predicted).max())
 
-    # Liouville: |det M| = exp(-integral tr(delta Dt) dt) = exp(-delta trD T)
-    det_M = coeffs[-1] if len(coeffs) % 2 == 1 else -coeffs[-1]
-    trD = float(np.trace(ps.pert.D))
-    expected = math.exp(-ps.pert.delta * trD * T)
+    det_M = np.linalg.det(M)
+    expected = math.exp(log_det)
     liouville = abs(abs(det_M) - expected) / expected
     # det of a strongly growing monodromy cannot be resolved below the
     # roundoff of its largest entries; keep an absolute floor for that

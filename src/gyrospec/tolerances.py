@@ -14,8 +14,6 @@ class Tolerances:
     sym_rtol: float = 1e-12
     # scaled polynomial root residual |p(x)| / (max|a| (1+|x|)^deg)
     poly_residual: float = 1e-12
-    # eigenpair residual ||L(lambda)u|| <= tol * (1+|lambda|^2) * ||S||
-    qep_residual_rtol: float = 1e-8
     # stability classification margin, relative to spectral scale
     marginal_rtol: float = 1e-8
     # |max Re lambda| at refined boundary vertices

@@ -10,11 +10,13 @@ from gyrospec.atlas import (CLASS_NAMES, StabilityChart,
                             boundary_slope_at_origin, classify,
                             eigenvalues_at_points, find_exceptional_points,
                             max_re_at_points, sweep2d, trace_boundary)
-from gyrospec.qep import char_poly, companion_matrix, poly_roots, solve_qep
+from gyrospec.qep import (accepted, companion_stack, pencil_eigenvalues,
+                          roots_batch, solve_qep)
 from gyrospec.errors import (ConvergenceError, InsufficientResolutionError,
                              OverflowRescaleError, ShapeError)
 from gyrospec.model import (J2, PerturbationSet, QuadraticPencil, RotorModel,
                             build_pencil, pencil_coefficients)
+from gyrospec.floquet import PeriodicSystem, _integrate_monodromy, monodromy
 from gyrospec.tolerances import DEFAULT
 from gyrospec.perturbation import (beta0, criterion_B, ep_location,
                                    invariant_A, jordan_chain, modal_data)
@@ -111,7 +113,8 @@ class TestSweep2d:
         for i, Om in enumerate(ax1):
             for j, nu in enumerate(ax2):
                 pen = build_pencil(model, pert.replace(Omega=Om, nu=nu))
-                ref = np.linalg.eigvals(companion_matrix(pen))
+                ref = np.linalg.eigvals(
+                    companion_stack(pen.damping_total, pen.stiffness_total))
                 scale = max(1.0, np.abs(ref).max())
                 top = ref[np.argmax(ref.real)]
                 assert abs(chart.max_re[i, j] - top.real) <= 1e-10 * scale
@@ -233,7 +236,9 @@ class TestNonFiniteResiduals:
             with pytest.raises(ConvergenceError):
                 solve_qep(pen, want_vectors=False)
             with pytest.raises(ConvergenceError):
-                poly_roots(char_poly(pen))
+                accepted(*pencil_eigenvalues(pen.damping_total[None],
+                                             pen.stiffness_total[None]),
+                         DEFAULT.poly_residual)
 
     def test_sweep_cells_are_errors(self):
         chart = sweep2d(self.model, self.pert, ("Omega", "delta"),
@@ -701,7 +706,7 @@ class TestFindExceptionalPoints:
         for r in eps:
             L = build_pencil(model, pert.replace(Omega=r.location[0],
                                                  kappa=r.location[1]))
-            ev = np.linalg.eigvals(companion_matrix(L))
+            ev = np.linalg.eigvals(companion_stack(L.damping_total, L.stiffness_total))
             scale = max(1.0, np.abs(ev).max())
             assert np.sum(np.abs(ev - r.eigenvalue) <= 1e-6 * scale) >= 2
 
@@ -794,7 +799,16 @@ class TestOnePath:
         with pytest.raises(OverflowRescaleError) as from_solve:
             solve_qep(QuadraticPencil(damping_total=C, stiffness_total=S))
         with pytest.raises(OverflowRescaleError) as from_poly:
-            poly_roots(np.array([1.0, np.inf, 0.0]))
+            roots_batch(np.array([[1.0, np.inf, 0.0]]))
         assert str(from_classify.value) == str(from_solve.value) \
             == str(from_poly.value)
+        # a monodromy matrix that overflows, and a finite one whose
+        # Liouville determinant exp(-delta trD T) overflows
+        for D, delta, finite in ((FIG_D, 1e160, False), (np.eye(2), -46.0, True)):
+            ps = PeriodicSystem(model1, PerturbationSet(D=D, K=FIG_K, delta=delta,
+                                                        Omega=0.4))
+            assert np.isfinite(_integrate_monodromy(ps, 256)).all() == finite
+            with pytest.raises(OverflowRescaleError) as from_floquet:
+                monodromy(ps, steps=256)
+            assert str(from_floquet.value) == str(from_solve.value)
         assert "rescale the pencil" in str(from_solve.value)

@@ -305,14 +305,18 @@ class TestMain:
         assert main([path]) == 1
         assert "infinite period" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["spectrum", "report"])
+    @pytest.mark.parametrize("command", ["spectrum", "report", "floquet"])
     @pytest.mark.parametrize("gain", ["Omega", "delta", "kappa", "nu"])
     def test_huge_gain_overflow_exit1(self, tmp_path, capsys, command, gain):
         # squares of gains this large overflow a double: the solver's
-        # overflow gate answers, no Python OverflowError escapes
-        text = "".join(line + "\n" for line in FIG1B_REPORT.splitlines()
+        # overflow gate (or floquet's gate on a non-finite monodromy)
+        # answers, no Python OverflowError escapes and numpy warns nothing
+        base = FIG1B_REPORT.replace("report", command)
+        if command == "floquet":
+            base += "gains.Omega = 0.4\n"  # Omega = 0 has an infinite period
+        text = "".join(line + "\n" for line in base.splitlines()
                        if not line.startswith(f"gains.{gain}"))
-        path = self.write(tmp_path, text.replace("report", command)
+        path = self.write(tmp_path, text
                           + f"gains.{gain} = 1e160\noutput.path = {tmp_path}/out\n")
         assert main([path]) == 1
         assert qep._OVERFLOW_MESSAGE in capsys.readouterr().err
@@ -339,7 +343,7 @@ class TestMain:
 
     def test_removed_tol_exit2(self, tmp_path, capsys):
         path = self.write(tmp_path, FIG1B_REPORT)
-        for key in ("ep_disc_rtol", "cluster_rtol"):
+        for key in ("ep_disc_rtol", "cluster_rtol", "qep_residual_rtol"):
             assert main([path, "--tol", f"{key}=1e-10"]) == 2
             assert key in capsys.readouterr().err
 
@@ -348,6 +352,15 @@ class TestMain:
         path = self.write(tmp_path, f"command = fig1\noutput.path = {tmp_path}/out\n")
         assert main([path, "--tol", "poly_residual=1e-18"]) == 1
         assert "root residual" in capsys.readouterr().err
+
+    def test_floquet_poly_residual_exit1(self, tmp_path, capsys):
+        # the autonomous spectrum of the duality check takes the same gate
+        path = self.write(tmp_path, FIG1B_REPORT.replace("report", "floquet")
+                          + "gains.Omega = 0.4\nfloquet.steps = 1024\n"
+                          + f"output.path = {tmp_path}/out\n")
+        assert main([path, "--tol", "poly_residual=1e-300"]) == 1
+        assert "root residual" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_tol_override_applies(self, tmp_path):
         path = self.write(tmp_path, FIG1B_REPORT

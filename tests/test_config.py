@@ -30,7 +30,9 @@ class TestParse:
         gains.Omega = 0.4
         """)
         assert cfg.command == "mesh"
-        assert cfg.n == 2 and cfg.preset == "string"
+        # the string preset is the default model: n doublets, no omegas
+        assert cfg.n == 2 and cfg.omegas is None
+        assert cfg == parse_config("command = mesh\nmodel.n = 2\ngains.Omega = 0.4\n")
         assert cfg.Omega == 0.4
 
     def test_fig1_preset_expands_caption(self):
@@ -94,6 +96,12 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config("command = spectrum\nmodel.n = 1\nmatrices.D = 1,2,3\n")
 
+    def test_preset_with_omegas_rejected(self):
+        for order in ("model.preset = string\nmodel.omegas = 1,3\n",
+                      "model.omegas = 1,3\nmodel.preset = string\n"):
+            with pytest.raises(ConfigError, match="model.omegas"):
+                parse_config("command = mesh\nmodel.n = 2\n" + order)
+
     def test_omegas_monotonicity(self):
         with pytest.raises(ConfigError):
             parse_config("command = mesh\nmodel.n = 2\nmodel.omegas = 2.0,1.0\n")
@@ -101,7 +109,8 @@ class TestParse:
     def test_tolerance_keys(self):
         cfg = parse_config("command = spectrum\ntolerance.poly_residual = 1e-11\n")
         assert cfg.tolerances == {"poly_residual": 1e-11}
-        for key in ("bogus", "conj_closure", "ep_disc_rtol", "cluster_rtol"):
+        for key in ("bogus", "conj_closure", "ep_disc_rtol", "cluster_rtol",
+                    "qep_residual_rtol"):
             with pytest.raises(ConfigError):
                 parse_config(f"command = spectrum\ntolerance.{key} = 1\n")
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,10 +8,10 @@ from conftest import FIG_D, FIG_K, pairing_distance, random_symmetric
 from gyrospec import qep
 from gyrospec.errors import ConvergenceError, ShapeError
 from gyrospec.model import PerturbationSet, RotorModel, build_pencil
-from gyrospec.qep import (char_poly, charpoly_of_matrix,
-                          cluster_eigenvalues, companion_matrix,
-                          max_growth_rate, poly_roots, roots_batch,
+from gyrospec.qep import (accepted, charpoly_of_matrix, cluster_eigenvalues,
+                          companion_stack, max_growth_rate, roots_batch,
                           scaled_residuals, solve_qep)
+from gyrospec.tolerances import DEFAULT
 
 # exact growth rate of the Fig. 1(b) operating point, frozen from the
 # quartic det(I s^2 + 0.3 D s + I + 0.2 K) via an independent root solve
@@ -19,6 +22,27 @@ def pencil_at(model, **gains):
     defaults = dict(D=FIG_D, K=FIG_K)
     defaults.update(gains)
     return build_pencil(model, PerturbationSet(**defaults))
+
+
+def companion(pen):
+    return companion_stack(pen.damping_total, pen.stiffness_total)
+
+
+def char_poly(pen):
+    """Coefficients of det L(lambda), highest degree first."""
+    return charpoly_of_matrix(companion(pen))
+
+
+def gated_roots(coeffs, max_iter=qep._MAX_ITER):
+    """All roots of one polynomial, raising through the acceptance gate."""
+    roots, resid = roots_batch(np.asarray(coeffs, dtype=float)[None], max_iter)
+    return accepted(roots, resid, DEFAULT.poly_residual)[0]
+
+
+def assert_eigenpair_residuals(pen, s):
+    """||L(lambda) u|| <= 1e-8 (1 + |lambda|^2) ||S|| for every pair."""
+    scale = np.linalg.norm(pen.stiffness_total)
+    assert np.all(s.residuals <= 1e-8 * (1 + np.abs(s.eigenvalues) ** 2) * scale)
 
 
 class TestCharPoly:
@@ -55,13 +79,13 @@ class TestCharPoly:
 
     def test_gyroscopic_roots(self, model1):
         pen = pencil_at(model1, D=np.zeros((2, 2)), K=np.zeros((2, 2)), Omega=0.5)
-        roots = poly_roots(char_poly(pen))
+        roots = solve_qep(pen, want_vectors=False).eigenvalues
         assert pairing_distance(roots, [1.5j, -1.5j, 0.5j, -0.5j]) < 1e-10
 
 
 class TestPolyRoots:
     def test_double_conjugate_pair(self):
-        roots = poly_roots(np.array([1.0, 0.0, 2.0, 0.0, 1.0]))
+        roots = gated_roots([1.0, 0.0, 2.0, 0.0, 1.0])
         clusters = cluster_eigenvalues(roots)
         assert sorted(m for _, m, _ in clusters) == [2, 2]
         centers = sorted((c for c, _, _ in clusters), key=lambda z: z.imag)
@@ -74,9 +98,10 @@ class TestPolyRoots:
         nu = 0.2
         kappa0 = 2 * nu / np.sqrt(5)
         omega0 = np.sqrt(1 + nu * 3 / np.sqrt(5))
-        a = char_poly(pencil_at(model1, D=np.zeros((2, 2)), kappa=kappa0, nu=nu))
+        pen = pencil_at(model1, D=np.zeros((2, 2)), kappa=kappa0, nu=nu)
+        a = char_poly(pen)
         assert abs(a[2] ** 2 - 4 * a[4]) < 1e-10 * max(a[2] ** 2, abs(4 * a[4]))
-        clusters = cluster_eigenvalues(poly_roots(a))
+        clusters = cluster_eigenvalues(solve_qep(pen, want_vectors=False).eigenvalues)
         assert sorted(m for _, m, _ in clusters) == [2, 2]
         for center, _, _ in clusters:
             assert abs(abs(center.imag) - omega0) < 1e-8
@@ -89,7 +114,7 @@ class TestPolyRoots:
                 half = rng.normal(size=deg // 2) + 1j * rng.normal(size=deg // 2)
                 roots = np.concatenate([half, half.conj()])
                 coeffs = np.real(np.poly(roots))
-                got = poly_roots(coeffs)
+                got = gated_roots(coeffs)
                 assert pairing_distance(got, roots) < 1e-10 * (1 + np.abs(roots).max())
 
     def test_residuals_definition(self):
@@ -102,15 +127,15 @@ class TestPolyRoots:
     def test_nonconvergence_carries_best_iterate(self):
         coeffs = np.real(np.poly(np.arange(1.0, 9.0)))
         with pytest.raises(ConvergenceError) as err:
-            poly_roots(coeffs, max_iter=1)
+            gated_roots(coeffs, max_iter=1)
         assert err.value.best is not None
         assert err.value.residuals is not None
 
     def test_degree_guards(self):
         with pytest.raises(ShapeError):
-            poly_roots(np.array([1.0]))
+            roots_batch(np.array([[1.0]]))
         with pytest.raises(ShapeError):
-            poly_roots(np.array([0.0, 1.0, 1.0]))
+            roots_batch(np.array([[0.0, 1.0, 1.0]]))
 
 
 # Characteristic polynomials of n = 2 and n = 3 string rotors (sweep nodes of
@@ -219,18 +244,19 @@ class TestRootCycles:
 
 class TestSolveQep:
     def test_matches_mesh(self, model1):
-        s = solve_qep(pencil_at(model1, D=np.zeros((2, 2)),
-                                K=np.zeros((2, 2)), Omega=0.3))
+        pen = pencil_at(model1, D=np.zeros((2, 2)), K=np.zeros((2, 2)), Omega=0.3)
+        s = solve_qep(pen)
         assert pairing_distance(s.eigenvalues, [1.3j, -1.3j, 0.7j, -0.7j]) < 1e-10
-        assert np.all(s.residual_ok)
+        assert_eigenpair_residuals(pen, s)
 
     def test_fig1b_flutter(self, model1):
-        s = solve_qep(pencil_at(model1, delta=0.3, kappa=0.2))
+        pen = pencil_at(model1, delta=0.3, kappa=0.2)
+        s = solve_qep(pen)
         mr = max_growth_rate(s)
         assert abs(mr - FIG1B_MAX_RE) < 1e-12
         # agrees with the first-order estimate -0.075 + 0.20297 to O(eps^2)
         assert abs(mr - 0.12797073701326006) < 0.02
-        assert np.all(s.residual_ok)
+        assert_eigenpair_residuals(pen, s)
 
     def test_definite_damping_decays(self, model1):
         s = solve_qep(pencil_at(model1, D=np.eye(2), K=np.zeros((2, 2)),
@@ -277,7 +303,7 @@ class TestOracleEquivalence:
             for _ in range(150):
                 pen = random_pencil(rng, n)
                 s = solve_qep(pen, want_vectors=False)
-                oracle = np.linalg.eigvals(companion_matrix(pen))
+                oracle = np.linalg.eigvals(companion(pen))
                 assert pairing_distance(s.eigenvalues, oracle) < 1e-8
                 assert np.all(s.poly_residuals < 1e-12)
 
@@ -315,6 +341,26 @@ class TestOracleEquivalence:
         for k in range(7):
             single = charpoly_of_matrix(A[k])
             assert np.allclose(batched[k], single, rtol=1e-12, atol=1e-12)
+
+
+def test_polynomial_path_private_to_qep():
+    """No module but qep reaches the characteristic-polynomial and root
+    functions, so how pencil eigenvalues are found can change in qep alone."""
+    private = {"charpoly_of_matrix", "roots_batch", "scaled_residuals"}
+    offenders = []
+    for path in sorted(Path(qep.__file__).parent.glob("*.py")):
+        if path.name == "qep.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}"
+                          for name in sorted(names & private)]
+    assert offenders == []
 
 
 class TestClusters:
