@@ -26,6 +26,7 @@ from .qep import _OVERFLOW_MESSAGE, companion_stack, solve_qep
 from .tolerances import DEFAULT
 
 _LOG_MAX = math.log(np.finfo(float).max)
+_LOG_32EPS = math.log(32.0 * np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,13 +164,6 @@ def best_pairing(a, b) -> tuple[int, ...]:
     return tuple(int(p) for p in perms[best])
 
 
-def pairing_distance(a, b) -> float:
-    """Smallest worst-case pairing distance between two small multisets."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return float(np.abs(a - b[list(best_pairing(a, b))]).max())
-
-
 def monodromy(ps: PeriodicSystem, steps: int = 4096,
               liouville_rtol: float = DEFAULT.liouville_rtol,
               verify_steps: bool = False,
@@ -207,7 +201,7 @@ def monodromy(ps: PeriodicSystem, steps: int = 4096,
     T = ps.period
     # Liouville: |det M| = exp(-integral tr(delta Dt) dt) = exp(-delta trD T)
     log_det = -ps.pert.delta * float(np.trace(ps.pert.D)) * T
-    if not (np.isfinite(M).all() and log_det < _LOG_MAX):
+    if not (np.isfinite(M).all() and -math.inf < log_det < _LOG_MAX):
         raise OverflowRescaleError(_OVERFLOW_MESSAGE)
     if verify_steps:
         M_half = _integrate_monodromy(ps, steps // 2)
@@ -230,13 +224,18 @@ def monodromy(ps: PeriodicSystem, steps: int = 4096,
     multipliers = multipliers[list(best_pairing(predicted, multipliers))]
     match = float(np.abs(multipliers - predicted).max())
 
-    det_M = np.linalg.det(M)
-    expected = math.exp(log_det)
-    liouville = abs(abs(det_M) - expected) / expected
-    # det of a strongly growing monodromy cannot be resolved below the
-    # roundoff of its largest entries; keep an absolute floor for that
-    floor = 32.0 * np.finfo(float).eps * (1.0 + np.linalg.norm(M)) ** 4
-    if abs(abs(det_M) - expected) > liouville_rtol * expected + floor:
+    # compared in log space, so that neither det M, exp(log_det) nor the
+    # floor can overflow or underflow.  det of a strongly growing monodromy
+    # cannot be resolved below the roundoff of its largest entries, so an
+    # absolute floor 32 eps (1 + ||M||)^4 is allowed besides the relative
+    # tolerance; both sides are scaled by exp(-ref) before comparing
+    log_abs = float(np.linalg.slogdet(M)[1])
+    log_floor = _LOG_32EPS + 4.0 * math.log1p(float(np.linalg.norm(M)))
+    gap = log_abs - log_det
+    liouville = abs(math.expm1(gap)) if gap < _LOG_MAX else math.inf
+    ref = max(log_abs, log_det, log_floor)
+    got, want, floor = (math.exp(v - ref) for v in (log_abs, log_det, log_floor))
+    if not abs(got - want) <= liouville_rtol * want + floor:
         raise ResolutionError(
             f"Liouville determinant defect {liouville:.3e} exceeds "
             f"{liouville_rtol:.1e} at {steps} steps; increase steps"
@@ -251,4 +250,4 @@ def monodromy(ps: PeriodicSystem, steps: int = 4096,
     return FloquetResult(monodromy=M, multipliers=multipliers,
                          predicted_multipliers=predicted,
                          match_error=match,
-                         liouville_error=float(liouville), steps=steps)
+                         liouville_error=liouville, steps=steps)

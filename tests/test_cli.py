@@ -336,6 +336,19 @@ class TestMain:
         assert main([path, "--tol", "duality_tol=1e-14"]) == 1
         assert "miss -exp(lambda T)" in capsys.readouterr().err
 
+    def test_floquet_liouville_underflow_exit0(self, tmp_path, capsys):
+        # exp(-delta trD T) underflows a double: the Liouville check runs
+        # in log space, so the defect column holds a number, not NaN
+        text = (FIG1B_REPORT.replace("report", "floquet")
+                .replace("matrices.D = -1,0,0,2", "matrices.D = 1,0,0,1")
+                .replace("gains.delta = 0.3", "gains.delta = 60"))
+        path = self.write(tmp_path, text + "gains.Omega = 0.4\n"
+                          + f"output.path = {tmp_path}/out\n")
+        assert main([path]) == 0
+        header, rows = read_rows(tmp_path / "out" / "floquet.csv")
+        liouville = np.array(rows, dtype=float)[:, header.index("liouville_error")]
+        assert not np.isnan(liouville).any()
+
     def test_bad_tol_exit2(self, tmp_path, capsys):
         path = self.write(tmp_path, FIG1B_REPORT)
         assert main([path, "--tol", "nonsense=1"]) == 2

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FIG_D, FIG_K
+from conftest import FIG_D, FIG_K, pairing_distance
+from gyrospec import floquet
 from gyrospec.errors import InfinitePeriodError, ResolutionError
 from gyrospec.floquet import (FloquetResult, PeriodicSystem,
                               _integrate_monodromy, _system_matrix_grid,
-                              best_pairing, monodromy, pairing_distance,
-                              periodic_matrices)
+                              best_pairing, monodromy, periodic_matrices)
 from gyrospec.model import J2, PerturbationSet, RotorModel
 
 def loop_monodromy(ps, steps):
@@ -164,6 +164,39 @@ class TestMonodromy:
         assert abs(abs(np.linalg.det(r.monodromy))
                    - math.exp(-0.25 * np.trace(FIG_D) * T)) < 1e-6
 
+    def test_liouville_underflow(self, model1):
+        # exp(-delta trD T) = exp(-942) underflows a double and det M is
+        # below roundoff: the check stands on its floor, the defect is a
+        # number, no NaN and no numpy warning
+        ps = system(model1, D=np.eye(2), delta=60.0, kappa=0.2, Omega=0.4)
+        r = monodromy(ps)
+        assert -ps.pert.delta * 2.0 * ps.period < -800.0
+        assert r.liouville_error >= 1.0
+
+    @pytest.mark.parametrize("delta", [-25.0, -40.0])
+    def test_liouville_floor_finite(self, model1, monkeypatch, delta):
+        # ||M|| near 1e85 and 1e136: 32 eps (1 + ||M||)^4 is beyond a
+        # double, but in log space the floor stays finite, so a det M far
+        # above it still fails
+        ps = system(model1, D=np.diag([-1.0, 1.0]), delta=delta, kappa=0.2,
+                    Omega=0.4)
+        M = _integrate_monodromy(ps, 4096)
+        assert 4.0 * math.log10(np.linalg.norm(M)) > 308.0
+        with pytest.raises(ResolutionError, match="miss -exp"):
+            monodromy(ps)
+        # same norm, |det| = ||M||^4 / 16 against exp(log_det) = 1
+        fake = 0.5 * np.linalg.norm(M) * np.eye(4)
+        monkeypatch.setattr(floquet, "_integrate_monodromy",
+                            lambda ps, steps: fake)
+        with pytest.raises(ResolutionError, match="Liouville"):
+            monodromy(ps)
+
+    def test_liouville_nan_fails(self, model1, monkeypatch):
+        ps = system(model1, delta=0.25, kappa=0.1, nu=0.05, Omega=0.4)
+        monkeypatch.setattr(np.linalg, "slogdet", lambda M: (1.0, math.nan))
+        with pytest.raises(ResolutionError, match="Liouville"):
+            monodromy(ps, steps=2048)
+
     def test_duality_gate(self, model1):
         ps = system(model1, delta=0.2, kappa=0.15, nu=0.1, Omega=0.37)
         r = monodromy(ps, steps=1024)
@@ -186,8 +219,9 @@ class TestMonodromy:
             r = monodromy(ps, steps=4096)
             gaps = np.abs(r.multipliers - r.predicted_multipliers)
             assert gaps.max() == r.match_error
-            assert pairing_distance(r.multipliers,
-                                    r.predicted_multipliers) == r.match_error
+            # no other pairing of the two lists is better
+            assert best_pairing(r.predicted_multipliers,
+                                r.multipliers) == (0, 1, 2, 3)
 
     def test_minimum_steps(self, model1):
         ps = system(model1, Omega=0.5)

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,11 +7,12 @@ import pytest
 
 from conftest import FIG_D, FIG_K, pairing_distance, random_symmetric
 from gyrospec import qep
+from gyrospec.atlas import sweep2d
 from gyrospec.errors import ConvergenceError, ShapeError
 from gyrospec.model import PerturbationSet, RotorModel, build_pencil
 from gyrospec.qep import (accepted, charpoly_of_matrix, cluster_eigenvalues,
-                          companion_stack, max_growth_rate, roots_batch,
-                          scaled_residuals, solve_qep)
+                          companion_stack, max_growth_rate, pencil_eigenvalues,
+                          roots_batch, scaled_residuals, solve_qep)
 from gyrospec.tolerances import DEFAULT
 
 # exact growth rate of the Fig. 1(b) operating point, frozen from the
@@ -341,6 +343,67 @@ class TestOracleEquivalence:
         for k in range(7):
             single = charpoly_of_matrix(A[k])
             assert np.allclose(batched[k], single, rtol=1e-12, atol=1e-12)
+
+
+class TestBlocks:
+    """pencil_eigenvalues solves its stack in blocks of _BLOCK_ELEMENTS."""
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_rows_match_one_row_calls(self, m, monkeypatch):
+        block = qep._BLOCK_ELEMENTS // (2 * m) ** 2
+        M = 2 * block + block // 2
+        rng = np.random.default_rng(m)
+        C = rng.normal(size=(M, m, m))
+        S = rng.normal(size=(M, m, m))
+        # first row, last of a block, first of the next, inside the
+        # partial last block
+        huge = [0, block - 1, block, 2 * block + 3]
+        C[huge] *= 1e160
+        eigs, resid = pencil_eigenvalues(C, S)
+        assert eigs.shape == resid.shape == (M, 2 * m)
+        overflowed = ~np.isfinite(eigs).all(axis=1)
+        assert np.nonzero(overflowed)[0].tolist() == huge
+        assert np.isnan(eigs[huge]).all() and np.isinf(resid[huge]).all()
+        assert np.isfinite(resid[~overflowed]).all()
+        # every row against one block holding the whole stack
+        monkeypatch.setattr(qep, "_BLOCK_ELEMENTS", M * (2 * m) ** 2)
+        whole = pencil_eigenvalues(C, S)
+        assert eigs.tobytes() == whole[0].tobytes()
+        assert resid.tobytes() == whole[1].tobytes()
+        # rows at every block edge and a stride, one at a time
+        edges = [k + j for k in (0, block, 2 * block, M) for j in (-2, -1, 0, 1)]
+        for k in sorted({k for k in edges if 0 <= k < M} | set(range(0, M, 97))):
+            e1, r1 = pencil_eigenvalues(C[k:k + 1], S[k:k + 1])
+            assert e1[0].tobytes() == eigs[k].tobytes()
+            assert r1[0].tobytes() == resid[k].tobytes()
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_empty_stack(self, m):
+        eigs, resid = pencil_eigenvalues(np.zeros((0, m, m)), np.zeros((0, m, m)))
+        assert eigs.shape == resid.shape == (0, 2 * m)
+
+    @staticmethod
+    def sweep_peak(model, pert, plane, grid):
+        tracemalloc.start()
+        try:
+            sweep2d(model, pert, plane, grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sweep_memory_n1(self, model1):
+        # 201x201: ten blocks; the whole-grid solve peaked at 55.6 MB
+        pert = PerturbationSet(D=FIG_D, K=FIG_K, delta=0.3)
+        grid = (np.linspace(-1.0, 1.0, 201), np.linspace(0.0, 1.0, 201))
+        assert self.sweep_peak(model1, pert, ("Omega", "kappa"), grid) < 20e6
+
+    def test_sweep_memory_n3(self):
+        # 30x30: two blocks of 455 rows; the whole-grid solve peaked at 6.8 MB
+        pert = PerturbationSet(D=np.eye(6), K=np.zeros((6, 6)), delta=0.1)
+        grid = (np.linspace(0.1, 1.0, 30), np.linspace(0.05, 0.5, 30))
+        assert 30 ** 2 > qep._BLOCK_ELEMENTS // 12 ** 2
+        peak = self.sweep_peak(RotorModel.string(3), pert, ("Omega", "delta"), grid)
+        assert peak < 5e6
 
 
 def test_polynomial_path_private_to_qep():
