@@ -190,6 +190,22 @@ def roots_batch(coeffs: np.ndarray, max_iter: int = _MAX_ITER) -> tuple[np.ndarr
     return x, scaled_residuals(a, x)
 
 
+def _solve_block(C: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pencil_eigenvalues` of one block: the companion stack, its
+    characteristic polynomials and one root iteration over the finite rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = charpoly_of_matrix(companion_stack(C, S))
+    finite = np.all(np.isfinite(coeffs), axis=1)
+    if finite.all():
+        return roots_batch(coeffs)
+    d = coeffs.shape[1] - 1
+    eigs = np.full((len(coeffs), d), np.nan, dtype=complex)
+    resid = np.full((len(coeffs), d), np.inf)
+    if finite.any():
+        eigs[finite], resid[finite] = roots_batch(coeffs[finite])
+    return eigs, resid
+
+
 def pencil_eigenvalues(C: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the pencils I lambda^2 + C lambda + S over (M, m, m) stacks.
 
@@ -208,16 +224,15 @@ def pencil_eigenvalues(C: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.nda
     the result is not verified and rows may fail the residual gate.
     """
     d = 2 * C.shape[-1]
-    eigs = np.full((len(C), d), np.nan, dtype=complex)
-    resid = np.full((len(C), d), np.inf)
     block = max(1, _BLOCK_ELEMENTS // d ** 2)
+    if len(C) <= block:
+        # one block allocates nothing beyond the block's own solve
+        return _solve_block(C, S)
+    eigs = np.empty((len(C), d), dtype=complex)
+    resid = np.empty((len(C), d))
     for lo in range(0, len(C), block):
         rows = slice(lo, lo + block)
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = charpoly_of_matrix(companion_stack(C[rows], S[rows]))
-        finite = np.all(np.isfinite(coeffs), axis=1)
-        if finite.any():
-            eigs[rows][finite], resid[rows][finite] = roots_batch(coeffs[finite])
+        eigs[rows], resid[rows] = _solve_block(C[rows], S[rows])
     return eigs, resid
 
 

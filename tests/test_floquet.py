@@ -164,7 +164,7 @@ class TestMonodromy:
         assert abs(abs(np.linalg.det(r.monodromy))
                    - math.exp(-0.25 * np.trace(FIG_D) * T)) < 1e-6
 
-    def test_liouville_underflow(self, model1):
+    def test_liouville_underflow(self, model1, monkeypatch):
         # exp(-delta trD T) = exp(-942) underflows a double and det M is
         # below roundoff: the check stands on its floor, the defect is a
         # number, no NaN and no numpy warning
@@ -172,6 +172,11 @@ class TestMonodromy:
         r = monodromy(ps)
         assert -ps.pert.delta * 2.0 * ps.period < -800.0
         assert r.liouville_error >= 1.0
+        # a det M of 1 is far above that floor
+        monkeypatch.setattr(floquet, "_integrate_monodromy",
+                            lambda ps, steps: np.eye(4))
+        with pytest.raises(ResolutionError, match="Liouville"):
+            monodromy(ps)
 
     @pytest.mark.parametrize("delta", [-25.0, -40.0])
     def test_liouville_floor_finite(self, model1, monkeypatch, delta):
