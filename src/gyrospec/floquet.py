@@ -60,7 +60,8 @@ class FloquetResult:
                                           # predicted_multipliers[i]
     predicted_multipliers: np.ndarray     # (4,) complex, -exp(lambda T)
     match_error: float
-    liouville_error: float                # relative |det M| defect
+    liouville_error: float                # relative |det M| defect; inf
+                                          # when beyond a double
     steps: int
 
 

@@ -9,10 +9,10 @@ Aberth-Ehrlich simultaneous iteration followed by a Newton polish; no
 other module calls the polynomial or root functions.  The stack is
 solved in row blocks of a fixed element budget; every row is computed
 on its own, so the results are bit-identical whatever the block size,
-and the peak temporary memory no longer grows with M.  One rule,
-:func:`rejected`, decides which rows are accepted; :func:`accepted` is
-its raising form for the single-point callers (:func:`solve_qep`,
-``atlas.classify``).  The Floquet multipliers and ``det M`` of
+and the peak temporary memory is set by the block size, not by the
+number of rows.  One rule, :func:`rejected`, decides which rows are
+accepted; :func:`accepted` is its raising form for the single-point
+callers (:func:`solve_qep`, ``atlas.classify``).  The Floquet multipliers and ``det M`` of
 ``floquet.monodromy`` come from LAPACK (``numpy.linalg``) instead.
 """
 
@@ -225,9 +225,6 @@ def pencil_eigenvalues(C: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     d = 2 * C.shape[-1]
     block = max(1, _BLOCK_ELEMENTS // d ** 2)
-    if len(C) <= block:
-        # one block allocates nothing beyond the block's own solve
-        return _solve_block(C, S)
     eigs = np.empty((len(C), d), dtype=complex)
     resid = np.empty((len(C), d))
     for lo in range(0, len(C), block):
