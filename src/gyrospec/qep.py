@@ -9,11 +9,12 @@ Aberth-Ehrlich simultaneous iteration followed by a Newton polish; no
 other module calls the polynomial or root functions.  The stack is
 solved in row blocks of a fixed element budget; every row is computed
 on its own, so the results are bit-identical whatever the block size,
-and the peak temporary memory is set by the block size, not by the
-number of rows.  One rule, :func:`rejected`, decides which rows are
+and the root iteration's temporary memory is set by the block size,
+not by the number of rows.  One rule, :func:`rejected`, decides which rows are
 accepted; :func:`accepted` is its raising form for the single-point
-callers (:func:`solve_qep`, ``atlas.classify``).  The Floquet multipliers and ``det M`` of
-``floquet.monodromy`` come from LAPACK (``numpy.linalg``) instead.
+callers (:func:`solve_qep`, ``atlas.classify``).  The Floquet
+multipliers and ``det M`` of ``floquet.monodromy`` come from LAPACK
+(``numpy.linalg``) instead.
 """
 
 from __future__ import annotations
@@ -211,9 +212,10 @@ def pencil_eigenvalues(C: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.nda
 
     Rows are solved in blocks of ``_BLOCK_ELEMENTS // (2m)**2`` pencils:
     per block, the companion stack, its characteristic polynomials and
-    one root iteration over the finite rows.  Every step works on each
-    row alone, so the result is bit-identical whatever the block size,
-    and the peak temporary memory is set by the block, not by M.
+    one root iteration over the finite rows; the block results are then
+    concatenated.  Every step works on each row alone, so the result is
+    bit-identical whatever the block size, and the iteration's temporary
+    memory is set by the block, not by M.
     Returns (eigenvalues (M, 2m), scaled root residuals (M, 2m)); a row
     whose coefficients overflow comes back as NaN eigenvalues with inf
     residuals.  Whether a row is accepted is decided by :func:`rejected`.
@@ -225,12 +227,11 @@ def pencil_eigenvalues(C: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     d = 2 * C.shape[-1]
     block = max(1, _BLOCK_ELEMENTS // d ** 2)
-    eigs = np.empty((len(C), d), dtype=complex)
-    resid = np.empty((len(C), d))
-    for lo in range(0, len(C), block):
-        rows = slice(lo, lo + block)
-        eigs[rows], resid[rows] = _solve_block(C[rows], S[rows])
-    return eigs, resid
+    # an empty stack is one empty block, so the result keeps shape (0, 2m)
+    solved = [_solve_block(C[lo:lo + block], S[lo:lo + block])
+              for lo in range(0, max(len(C), 1), block)]
+    return (np.concatenate([eigs for eigs, _ in solved]),
+            np.concatenate([resid for _, resid in solved]))
 
 
 _OVERFLOWED = "coefficients overflowed"
