@@ -10,11 +10,11 @@ other module calls the polynomial or root functions.  The stack is
 solved in row blocks of a fixed element budget; every row is computed
 on its own, so the results are bit-identical whatever the block size,
 and the root iteration's temporary memory is set by the block size,
-not by the number of rows.  One rule, :func:`rejected`, decides which rows are
-accepted; :func:`accepted` is its raising form for the single-point
-callers (:func:`solve_qep`, ``atlas.classify``).  The Floquet
-multipliers and ``det M`` of ``floquet.monodromy`` come from LAPACK
-(``numpy.linalg``) instead.
+not by the number of rows.  One rule, :func:`rejected`, decides which
+rows are accepted; :func:`accepted` is its raising form for the
+single-point callers (:func:`solve_qep`, ``atlas.classify``).  The
+Floquet multipliers and ``det M`` of ``floquet.monodromy`` come from
+LAPACK (``numpy.linalg``) instead.
 """
 
 from __future__ import annotations
@@ -143,14 +143,18 @@ def roots_batch(coeffs: np.ndarray, max_iter: int = _MAX_ITER) -> tuple[np.ndarr
         active = np.ones((n, d), dtype=bool)
         stop = np.full(n, max_iter - 1)
         snap_bits, snap_active, snap_it = x.view(np.uint64).copy(), active, -1
+        # the (rows, d, d) pairwise differences are the largest temporary
+        # of an iteration; one buffer serves them all
+        diff_buf = np.empty((n, d, d), dtype=complex)
         for it in range(max_iter):
             p, dp = _horner_pair(wa, wx)
             # Aberth correction w / (1 - w * sum_j 1/(x_i - x_j))
             dp = np.where(dp == 0.0, np.finfo(float).tiny, dp)
             w = p / dp
-            diff = wx[:, :, None] - wx[:, None, :]
+            diff = np.subtract(wx[:, :, None], wx[:, None, :],
+                               out=diff_buf[:len(wx)])
             np.einsum("nii->ni", diff)[...] = np.inf  # exclude j == i
-            repel = np.sum(1.0 / diff, axis=2)
+            repel = np.sum(np.divide(1.0, diff, out=diff), axis=2)
             denom = 1.0 - w * repel
             denom = np.where(denom == 0.0, np.finfo(float).tiny, denom)
             corr = np.where(active, w / denom, 0.0)
