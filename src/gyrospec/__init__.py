@@ -57,7 +57,7 @@ from .floquet import (
     FloquetResult,
     PeriodicSystem,
     monodromy,
-    periodic_matrices,
+    rotating_frame,
 )
 from .config import RunConfig, emit_config, parse_config
 from .tolerances import DEFAULT, Tolerances

@@ -11,7 +11,7 @@ residual and the rank of L(lambda0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,32 +74,12 @@ class StabilityChart:
     model: RotorModel
     pert_template: PerturbationSet
     marginal_rtol: float
-    boundaries: tuple = ()
 
     def __post_init__(self):
         for name in ("axis1", "axis2", "max_re", "im_at_max", "class_codes"):
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    def class_name(self, i: int, j: int) -> str:
-        return CLASS_NAMES[self.class_codes[i, j]]
-
-    def verdict(self, i: int, j: int) -> StabilityVerdict:
-        return StabilityVerdict(
-            classification=self.class_name(i, j),
-            max_re=float(self.max_re[i, j]),
-            critical_eigenvalue=complex(self.max_re[i, j], self.im_at_max[i, j]),
-        )
-
-    def cell_params(self, i: int, j: int) -> dict:
-        p = dict(self.fixed)
-        p[self.plane[0]] = float(self.axis1[i])
-        p[self.plane[1]] = float(self.axis2[j])
-        return p
-
-    def with_boundaries(self, boundaries) -> "StabilityChart":
-        return replace(self, boundaries=tuple(boundaries))
 
 
 def _verdict_parts(eigs: np.ndarray, marginal_rtol: float):
@@ -395,38 +375,41 @@ def trace_boundary(chart: StabilityChart,
     return tuple(polylines)
 
 
-def boundary_slope_at_origin(chart: StabilityChart,
-                             cutoff_fraction: float = 0.4,
-                             min_vertices: int = 3) -> tuple[float, float]:
+# Umbrella slopes: the share of the chart's delta range whose boundary
+# vertices are fitted, and the fewest vertices per branch.
+_SLOPE_CUTOFF_FRACTION = 0.4
+_SLOPE_MIN_VERTICES = 3
+
+
+def boundary_slope_at_origin(chart: StabilityChart) -> tuple[float, float]:
     """Slopes Omega/delta of the two boundary branches through the origin.
 
     Uses the smallest-delta vertices of the traced boundary (up to
-    ``cutoff_fraction`` of the chart's delta range), splits them into two
-    branches at the largest gap in Omega/delta, and fits each branch by
-    least squares through the origin.
+    ``_SLOPE_CUTOFF_FRACTION`` of the chart's delta range), splits them
+    into two branches at the largest gap in Omega/delta, and fits each
+    branch by least squares through the origin.
     """
     names = chart.plane
     if set(names) != {"Omega", "delta"}:
         raise ShapeError("boundary_slope_at_origin needs an (Omega, delta) chart")
     om_col = names.index("Omega")
     de_col = names.index("delta")
-    boundaries = chart.boundaries or trace_boundary(chart)
-    verts = [pl.vertices for pl in boundaries]
+    verts = [pl.vertices for pl in trace_boundary(chart)]
     if not verts:
         raise InsufficientResolutionError("no boundary vertices traced")
     V = np.vstack(verts)
     delta = V[:, de_col]
     omega = V[:, om_col]
     keep = delta > 0
-    if keep.sum() < 2 * min_vertices:
+    if keep.sum() < 2 * _SLOPE_MIN_VERTICES:
         raise InsufficientResolutionError(
             f"only {int(keep.sum())} boundary vertices with delta > 0"
         )
     delta, omega = delta[keep], omega[keep]
     axis_max = (chart.axis1 if de_col == 0 else chart.axis2).max()
-    cutoff = cutoff_fraction * min(axis_max, delta.max() / cutoff_fraction)
+    cutoff = _SLOPE_CUTOFF_FRACTION * min(axis_max, delta.max() / _SLOPE_CUTOFF_FRACTION)
     small = delta <= cutoff
-    while small.sum() < 2 * min_vertices and cutoff < delta.max():
+    while small.sum() < 2 * _SLOPE_MIN_VERTICES and cutoff < delta.max():
         cutoff *= 1.5
         small = delta <= cutoff
     delta, omega = delta[small], omega[small]
@@ -436,10 +419,10 @@ def boundary_slope_at_origin(chart: StabilityChart,
     split = int(np.argmax(gaps)) + 1 if len(gaps) else 0
     branch_a = order[:split]
     branch_b = order[split:]
-    if len(branch_a) < min_vertices or len(branch_b) < min_vertices:
+    if len(branch_a) < _SLOPE_MIN_VERTICES or len(branch_b) < _SLOPE_MIN_VERTICES:
         raise InsufficientResolutionError(
             f"branches have {len(branch_a)} and {len(branch_b)} vertices; "
-            f"need at least {min_vertices} each"
+            f"need at least {_SLOPE_MIN_VERTICES} each"
         )
     slopes = []
     for idx in (branch_a, branch_b):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,17 +21,13 @@ from .errors import ConfigError, GyrospecError
 from .model import RotorModel, PerturbationSet, build_pencil, mesh_spectrum
 from .tolerances import DEFAULT, Tolerances
 
-# fig2 morphology presets: the caption damping to the cone-invariant sign.
-# An indefinite matrix with A > 0 is needed for the closed flutter contour;
-# positive definite damping would leave the whole plane stable.
+# fig2 morphology presets with their (Omega, kappa) windows: (a) indefinite
+# damping with A > 0, the closed flutter contour (positive definite damping
+# would leave the whole plane stable); (c) the caption damping, A < 0.
 _FIG2_VARIANTS = (
-    ("a", np.diag([-0.1, 2.0]), "positive"),
-    ("c", np.diag([-1.0, 2.0]), "negative"),
+    ("a", np.diag([-0.1, 2.0]), ((-0.25, 0.25), (-0.25, 0.25))),
+    ("c", np.diag([-1.0, 2.0]), ((-0.45, 0.45), (-0.3, 0.3))),
 )
-_FIG2_WINDOWS = {
-    "a": ((-0.25, 0.25), (-0.25, 0.25)),
-    "c": ((-0.45, 0.45), (-0.3, 0.3)),
-}
 _FIG3_WINDOW = ((-0.25, 0.25), (-0.35, 0.35))
 
 
@@ -129,10 +126,9 @@ def _points_text(omegas: np.ndarray, eigs: np.ndarray) -> str:
                   eigs.real.ravel().tolist(), eigs.imag.ravel().tolist())
 
 
-def run(cfg: RunConfig, out_dir: str | None = None,
-        tol_overrides: dict | None = None) -> list[Path]:
+def run(cfg: RunConfig, out_dir: str | None = None) -> list[Path]:
     """Execute one configured command; returns the written files."""
-    tol = DEFAULT.override(**{**cfg.tolerances, **(tol_overrides or {})})
+    tol = DEFAULT.override(**cfg.tolerances)
     out = Path(out_dir if out_dir is not None else cfg.out_path)
     model = _build_model(cfg)
     written: list[Path] = []
@@ -249,16 +245,8 @@ def run(cfg: RunConfig, out_dir: str | None = None,
                  _points_text(omegas, approx))
 
     elif command == "fig2":
-        for label, D, sign in _FIG2_VARIANTS:
-            A = perturbation.invariant_A(D, np.array(cfg.K).reshape(2, 2))
-            detD = float(np.linalg.det(D))
-            if sign == "positive" and not (A > 0 and detD < 0):
-                raise GyrospecError(
-                    f"fig2(a) preset needs indefinite damping with A > 0, "
-                    f"got A={A}, detD={detD}")
-            if sign == "negative" and not A < 0:
-                raise GyrospecError(f"fig2(c) preset needs A < 0, got A={A}")
-            figure_chart(_build_template(cfg, tol, D=D), _FIG2_WINDOWS[label],
+        for label, D, window in _FIG2_VARIANTS:
+            figure_chart(_build_template(cfg, tol, D=D), window,
                          f"fig2{label}_sweep.csv", f"fig2{label}_boundary.csv")
 
     elif command == "fig3":
@@ -298,19 +286,20 @@ def main(argv=None) -> int:
             return 2
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"gyrospec: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
         cfg = parse_config(text)
-        DEFAULT.override(**{**cfg.tolerances, **tol_overrides})
+        cfg = replace(cfg, tolerances={**cfg.tolerances, **tol_overrides})
+        DEFAULT.override(**cfg.tolerances)
     except (ConfigError, KeyError) as exc:
         print(f"gyrospec: {exc}", file=sys.stderr)
         return 2
 
     try:
-        written = run(cfg, out_dir=args.out, tol_overrides=tol_overrides)
+        written = run(cfg, out_dir=args.out)
     except (GyrospecError, NotImplementedError) as exc:
         print(f"gyrospec: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ ignored.  ``parse_config(emit_config(cfg))`` reproduces ``cfg`` exactly.
 from __future__ import annotations
 
 import difflib
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
@@ -15,7 +16,6 @@ from .tolerances import TOLERANCE_KEYS
 
 COMMANDS = ("spectrum", "mesh", "report", "sweep", "boundary", "ep",
             "floquet", "fig1", "fig2", "fig3")
-AXIS_NAMES = ("Omega", "kappa", "delta", "nu")
 
 _KNOWN_KEYS = (
     ("command", "model.n", "model.omegas", "model.preset",
@@ -71,9 +71,12 @@ def _suggest(key: str) -> str | None:
 
 def _parse_float(value: str, key: str, line: int) -> float:
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}", line)
+    if not math.isfinite(x):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}", line)
+    return x
 
 
 def _parse_int(value: str, key: str, line: int) -> int:
@@ -84,10 +87,7 @@ def _parse_int(value: str, key: str, line: int) -> int:
 
 
 def _parse_floats(value: str, key: str, line: int) -> tuple:
-    try:
-        return tuple(float(v) for v in value.split(","))
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated numbers, got {value!r}", line)
+    return tuple(_parse_float(v, key, line) for v in value.split(","))
 
 
 def _parse_axis(value: str, key: str, line: int) -> tuple:

@@ -6,7 +6,7 @@ class GyrospecError(Exception):
 
 
 class ShapeError(GyrospecError):
-    """Matrix dimensions incompatible with the rotor model."""
+    """Matrix dimensions incompatible with the rotor model, or non-finite input."""
 
 
 class SymmetryError(GyrospecError):

@@ -65,11 +65,12 @@ class FloquetResult:
     steps: int
 
 
-def _rotating_frame(ps: PeriodicSystem, ts):
+def rotating_frame(ps: PeriodicSystem, ts):
     """Dt, Kt and the coupling -delta Omega Dt G at the time or times ts.
 
     Dt and Kt are each diag(trM, trM)/2 + (M + JMJ)/2 cos 2 Omega t
     + (JM - MJ)/2 sin 2 Omega t; all three have shape ts.shape + (2, 2).
+    The coupling comes from differentiating the transform; N is frame-invariant.
     """
     phase = 2.0 * ps.pert.Omega * np.asarray(ts, dtype=float)
     c = np.cos(phase)[..., None, None]
@@ -84,20 +85,9 @@ def _rotating_frame(ps: PeriodicSystem, ts):
     return Dt, Kt, -ps.pert.delta * ps.pert.Omega * (Dt @ ps.base.G)
 
 
-def periodic_matrices(ps: PeriodicSystem, t: float):
-    """Coefficient matrices of the rotating-frame system at time t.
-
-    Returns (Dt, Kt, Nt, coupling) where coupling = -delta Omega Dt G is
-    the stiffness correction from differentiating the rotating transform;
-    Nt equals N for 2 degrees of freedom.
-    """
-    Dt, Kt, coupling = _rotating_frame(ps, t)
-    return Dt, Kt, ps.pert.N.copy(), coupling
-
-
 def _system_matrix_grid(ps: PeriodicSystem, ts: np.ndarray) -> np.ndarray:
     """First-order form z' = A(t) z stacked over a time grid."""
-    Dt, Kt, coupling = _rotating_frame(ps, ts)
+    Dt, Kt, coupling = rotating_frame(ps, ts)
     S = ps.base.P + coupling + ps.pert.kappa * Kt + ps.pert.nu * ps.pert.N
     return companion_stack(ps.pert.delta * Dt, S)
 

@@ -33,6 +33,8 @@ def _symmetrized(M: np.ndarray, name: str, skew: bool, rtol: float) -> np.ndarra
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ShapeError(f"{name} must be a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ShapeError(f"{name} entries must be finite")
     part = 0.5 * (M - M.T) if skew else 0.5 * (M + M.T)
     corr = np.linalg.norm(M - part)
     scale = max(np.linalg.norm(M), 1.0)
@@ -60,8 +62,8 @@ class RotorModel:
         om = tuple(float(w) for w in np.atleast_1d(self.omegas))
         if len(om) == 0:
             raise ShapeError("at least one doublet frequency is required")
-        if any(w <= 0 for w in om):
-            raise ShapeError("doublet frequencies must be positive")
+        if not all(0 < w < np.inf for w in om):
+            raise ShapeError("doublet frequencies must be positive and finite")
         if any(b <= a for a, b in zip(om, om[1:])):
             raise ShapeError("doublet frequencies must be strictly increasing")
         object.__setattr__(self, "omegas", om)
@@ -112,7 +114,8 @@ class PerturbationSet:
 
     ``D`` and ``K`` are stored exactly symmetric, ``N`` exactly
     skew-symmetric; inputs violating that beyond ``sym_rtol`` (relative,
-    Frobenius) are rejected rather than silently corrected.
+    Frobenius) are rejected rather than silently corrected, and non-finite
+    entries or gains raise ShapeError.
     """
 
     D: np.ndarray
@@ -139,7 +142,10 @@ class PerturbationSet:
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "N", N)
         for name in ("delta", "kappa", "nu", "Omega"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not np.isfinite(value):
+                raise ShapeError(f"gain {name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
 
     def replace(self, **gains) -> "PerturbationSet":
         """New operating point with some gains changed, matrices shared."""

@@ -30,6 +30,10 @@ from .errors import (
 )
 from .model import J2, RotorModel, PerturbationSet
 
+# relative cross-check thresholds: the two forms of A, the Jordan chain at kappa0
+_A_FORMS_RTOL = 1e-10
+_CHAIN_RESIDUAL_RTOL = 1e-8
+
 
 def _require_2x2(M: np.ndarray, name: str) -> np.ndarray:
     M = np.asarray(M, dtype=float)
@@ -71,7 +75,6 @@ class PerturbationReport:
     """All closed-form quantities at one operating point."""
 
     c: complex
-    lambda_approx: tuple[complex, complex, complex, complex]
     A: float
     beta0: float
     kappa0: float
@@ -154,13 +157,13 @@ def veering_hyperbola(md: ModalData, kappa: float, Omega: float) -> tuple[float,
     return mid + half, mid - half
 
 
-def invariant_A(D, K, rtol: float = 1e-10) -> float:
+def invariant_A(D, K) -> float:
     """Cone-orientation invariant of the damping/stiffness pair.
 
     A > 0: flutter cone along the delta axis (ellipse in the (Omega, kappa)
     plane); A = 0: dihedral angle (stripe); A < 0: cone along the Omega
     axis (region between hyperbola branches).  Both algebraic forms are
-    evaluated and must agree.
+    evaluated and must agree to ``_A_FORMS_RTOL``.
     """
     D = _require_2x2(D, "D")
     K = _require_2x2(K, "K")
@@ -174,7 +177,7 @@ def invariant_A(D, K, rtol: float = 1e-10) -> float:
         num = 2.0 * np.trace(K @ D) - np.trace(K) * trD
         second = (trD ** 2 - num ** 2 / rho_gap_sq) * rho_gap_sq / 4.0
         scale = max(1.0, abs(first), abs(second))
-        if abs(first - second) > rtol * scale:
+        if abs(first - second) > _A_FORMS_RTOL * scale:
             raise InternalConsistencyError(
                 f"invariant A forms disagree: {first!r} vs {second!r}"
             )
@@ -272,15 +275,14 @@ def ep_location(K, omega1: float, nu: float) -> tuple[float, float]:
     return kappa0, math.sqrt(radicand)
 
 
-def jordan_chain(K, omega1: float, nu: float,
-                 residual_rtol: float = 1e-8) -> JordanChain:
+def jordan_chain(K, omega1: float, nu: float) -> JordanChain:
     """Jordan chain (u0, u1) at the exceptional point (0, +kappa0, 0).
 
     u0 is parallel to (k11 - k22, 2 k12 + rho1 - rho2) and u1 to (1, 0);
-    both residuals are checked against the full pencil including the
-    circulatory term, with the chain sign sigma chosen to minimize the
-    residual.  The residual of the circulatory-free operator is reported
-    alongside for comparison.
+    both residuals are checked, to ``_CHAIN_RESIDUAL_RTOL``, against the full
+    pencil including the circulatory term, with the chain sign sigma chosen
+    to minimize the residual.  The residual of the circulatory-free
+    operator is reported alongside for comparison.
     """
     K = _require_2x2(K, "K")
     if nu == 0.0:
@@ -317,8 +319,8 @@ def jordan_chain(K, omega1: float, nu: float,
         np.linalg.norm(M_free @ u1 + 2j * omega0 * sigma * u0)
     )
     scale = float(np.linalg.norm(omega1 ** 2 * np.eye(2) + kappa0 * K + nu * J2))
-    tol0 = residual_rtol * scale
-    tol1 = residual_rtol * scale * (1.0 + float(np.linalg.norm(u1)))
+    tol0 = _CHAIN_RESIDUAL_RTOL * scale
+    tol1 = _CHAIN_RESIDUAL_RTOL * scale * (1.0 + float(np.linalg.norm(u1)))
     if residual0 > tol0 or residual1 > tol1:
         raise JordanChainDefectError(
             f"Jordan chain residuals {residual0:.3e}, {residual1:.3e} exceed "
@@ -405,7 +407,6 @@ def perturbation_report(model: RotorModel, pert: PerturbationSet) -> Perturbatio
                                                pert.kappa, pert.nu))
     with np.errstate(over="ignore", invalid="ignore"):
         c = coupling_c(md, Omega, delta, kappa, nu)
-        lam = approx_eigenvalues(md, Omega, delta, kappa, nu)
         B = criterion_B(md, pert.D, pert.K, Omega, kappa, delta, nu)
         if md.rho1 == md.rho2:
             b0 = kappa0 = omega0 = math.nan
@@ -419,6 +420,6 @@ def perturbation_report(model: RotorModel, pert: PerturbationSet) -> Perturbatio
         dL0 = 1j * md.omega1 * delta * pert.D + kappa * pert.K + nu * pert.N
         eps = float(np.linalg.norm(dL0))
     return PerturbationReport(
-        c=c, lambda_approx=tuple(lam), A=A, beta0=b0, kappa0=kappa0,
+        c=c, A=A, beta0=b0, kappa0=kappa0,
         omega0=omega0, Omega_cr_nu=om_cr, B=B, epsilon=eps,
     )

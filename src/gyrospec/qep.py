@@ -36,6 +36,8 @@ _STEP_TOL = 4.0 * 2.0 ** -52
 # stay in cache, large enough to amortize numpy's per-call overhead
 _BLOCK_ELEMENTS = 2 ** 16
 
+# relative distance below which cluster_eigenvalues groups two eigenvalues
+_CLUSTER_RTOL = 1e-6
 _OVERFLOW_MESSAGE = ("polynomial coefficients overflowed; rescale the pencil "
                      "(divide frequencies and gains by a common factor)")
 
@@ -272,8 +274,8 @@ def accepted(eigs: np.ndarray, resid: np.ndarray, poly_residual: float) -> np.nd
     return eigs
 
 
-def cluster_eigenvalues(values, rtol: float = 1e-6):
-    """Group eigenvalues closer than rtol*(1+|lambda|) into multiplicity tags.
+def cluster_eigenvalues(values):
+    """Group eigenvalues closer than _CLUSTER_RTOL (1+|lambda|) into multiplicity tags.
 
     Returns a list of (center, multiplicity, indices) sorted like the input.
     """
@@ -289,7 +291,7 @@ def cluster_eigenvalues(values, rtol: float = 1e-6):
 
     for i in range(m):
         for j in range(i + 1, m):
-            tol = rtol * (1.0 + max(abs(values[i]), abs(values[j])))
+            tol = _CLUSTER_RTOL * (1.0 + max(abs(values[i]), abs(values[j])))
             if abs(values[i] - values[j]) < tol:
                 parent[find(i)] = find(j)
 

@@ -1,11 +1,16 @@
-"""Numerical tolerances used across the package.
+"""The user-settable numerical tolerances of the package.
 
-Every constant can be overridden per run through the CLI (``--tol KEY=VAL``
+Every field can be overridden per run through the CLI (``--tol KEY=VAL``
 or ``tolerance.KEY`` config lines); library functions take the same values
-as keyword arguments.
+as keyword arguments.  Each value must be finite and non-negative; zero is
+allowed and makes its check as strict as it can be.  Fixed thresholds that
+no run sets are module constants next to the code that uses them.
 """
 
+import math
 from dataclasses import dataclass, fields, replace
+
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -24,6 +29,13 @@ class Tolerances:
     liouville_rtol: float = 1e-6
     # Floquet multiplier pairing distance, relative to max(1, max |multiplier|)
     duality_tol: float = 1e-6
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"tolerance {f.name} must be finite and "
+                                  f"non-negative, got {value!r}")
 
     def override(self, **kwargs) -> "Tolerances":
         unknown = set(kwargs) - {f.name for f in fields(self)}

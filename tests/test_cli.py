@@ -8,7 +8,7 @@ from gyrospec.cli import main, run
 from gyrospec.config import parse_config
 from gyrospec.model import PerturbationSet, RotorModel
 from gyrospec.perturbation import perturbation_report
-from gyrospec.tolerances import DEFAULT
+from gyrospec.tolerances import DEFAULT, TOLERANCE_KEYS
 
 FIG1B_REPORT = """
 command = report
@@ -174,10 +174,11 @@ class TestCsvFormat:
         rows = []
         for i in range(len(chart.axis1)):
             for j in range(len(chart.axis2)):
-                p = chart.cell_params(i, j)
+                p = {**chart.fixed, chart.plane[0]: float(chart.axis1[i]),
+                     chart.plane[1]: float(chart.axis2[j])}
                 rows.append((p["Omega"], p["kappa"], p["delta"], p["nu"],
                              chart.max_re[i, j], chart.im_at_max[i, j],
-                             chart.class_name(i, j)))
+                             atlas.CLASS_NAMES[chart.class_codes[i, j]]))
         text = path.read_text()
         assert text == ("Omega,kappa,delta,nu,max_re,im_at_max,class\n"
                         + self.lines(rows))
@@ -381,6 +382,33 @@ class TestMain:
         assert main([path, "--tol", "poly_residual=1e-300"]) == 1
         assert "root residual" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("key", TOLERANCE_KEYS)
+    def test_bad_tol_value_exit2(self, tmp_path, capsys, key, value):
+        # --tol and tolerance.* keys both end in Tolerances' check, before
+        # anything is solved or written
+        out = tmp_path / "out"
+        path = self.write(tmp_path, FIG1B_REPORT + f"output.path = {out}\n")
+        assert main([path, "--tol", f"{key}={value}"]) == 2
+        assert key in capsys.readouterr().err
+        path = self.write(tmp_path, FIG1B_REPORT + f"tolerance.{key} = {value}\n"
+                          + f"output.path = {out}\n")
+        assert main([path]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_gain_exit2(self, tmp_path, capsys):
+        path = self.write(tmp_path, FIG1B_REPORT.replace("gains.delta = 0.3",
+                                                         "gains.delta = nan"))
+        assert main([path]) == 2
+        assert "line 7: gains.delta" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit2(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"command = spectrum\nmodel.omegas = 1.0\n# \xff\n")
+        assert main([str(path)]) == 2
+        assert "cannot read config" in capsys.readouterr().err
 
     def test_tol_override_applies(self, tmp_path):
         path = self.write(tmp_path, FIG1B_REPORT

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from gyrospec.config import RunConfig, emit_config, parse_config
 from gyrospec.errors import ConfigError
+from gyrospec.tolerances import DEFAULT, TOLERANCE_KEYS
 
 
 MINIMAL = """
@@ -113,6 +116,42 @@ class TestParse:
                     "qep_residual_rtol"):
             with pytest.raises(ConfigError):
                 parse_config(f"command = spectrum\ntolerance.{key} = 1\n")
+
+
+# one config per numeric key; {v} marks the number that is made non-finite
+NUMERIC_KEYS = {
+    **{f"gains.{g}": "command = spectrum\ngains.%s = {v}\n" % g
+       for g in ("delta", "kappa", "nu", "Omega")},
+    **{f"matrices.{m}": "command = spectrum\nmatrices.%s = 0,1,{v},0\n" % m
+       for m in ("D", "K", "N")},
+    "model.omegas": "command = mesh\nmodel.n = 2\nmodel.omegas = {v},2\n",
+    **{f"axes.{a}": "command = sweep\naxes.%s = 0:{v}:5\naxes.%s = 0:1:5\n"
+       % (a, "nu" if a == "Omega" else "Omega")
+       for a in ("Omega", "kappa", "delta", "nu")},
+    "fig3.deltas": "command = fig3\nfig3.deltas = 0.1,{v}\n",
+    **{f"tolerance.{k}": "command = spectrum\ntolerance.%s = {v}\n" % k
+       for k in TOLERANCE_KEYS},
+}
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", sorted(NUMERIC_KEYS))
+    def test_rejected_with_key_and_line(self, key, value):
+        text = NUMERIC_KEYS[key].format(v=value)
+        parse_config(NUMERIC_KEYS[key].format(v="0.5"))  # the template is valid
+        with pytest.raises(ConfigError, match="finite") as err:
+            parse_config(text)
+        assert key in str(err.value)
+        assert err.value.line == next(i for i, ln in enumerate(text.splitlines(), 1)
+                                      if ln.startswith(key + " "))
+
+    def test_tolerances_finite_and_non_negative(self):
+        for key in TOLERANCE_KEYS:
+            assert getattr(DEFAULT.override(**{key: 0.0}), key) == 0.0
+            for bad in (math.nan, math.inf, -1e-300):
+                with pytest.raises(ConfigError, match=key):
+                    DEFAULT.override(**{key: bad})
 
 
 class TestRoundTrip:

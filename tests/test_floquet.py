@@ -8,7 +8,7 @@ from gyrospec import floquet
 from gyrospec.errors import InfinitePeriodError, ResolutionError
 from gyrospec.floquet import (FloquetResult, PeriodicSystem,
                               _integrate_monodromy, _system_matrix_grid,
-                              best_pairing, monodromy, periodic_matrices)
+                              best_pairing, monodromy, rotating_frame)
 from gyrospec.model import J2, PerturbationSet, RotorModel
 
 def loop_monodromy(ps, steps):
@@ -55,22 +55,21 @@ class TestPeriodicSystem:
 class TestPeriodicMatrices:
     def test_identity_at_t0(self, model1):
         ps = system(model1, delta=0.3, kappa=0.2, Omega=0.5)
-        Dt, Kt, Nt, _ = periodic_matrices(ps, 0.0)
+        Dt, Kt, _ = rotating_frame(ps, 0.0)
         assert np.allclose(Dt, FIG_D, atol=1e-15)
         assert np.allclose(Kt, FIG_K, atol=1e-15)
-        assert np.array_equal(Nt, J2)
 
     def test_quarter_period_flip(self, model1):
         Omega = 0.5
         ps = system(model1, delta=0.3, kappa=0.2, Omega=Omega)
-        _, Kt, _, _ = periodic_matrices(ps, math.pi / (2 * Omega))
+        _, Kt, _ = rotating_frame(ps, math.pi / (2 * Omega))
         expected = 0.5 * (np.diag([3.0, 3.0]) - (FIG_K + J2 @ FIG_K @ J2))
         assert np.allclose(Kt, expected, atol=1e-12)
 
     def test_isotropic_shape_constant(self, model1):
         ps = system(model1, K=2.5 * np.eye(2), kappa=0.1, Omega=0.4)
         for t in (0.0, 0.3, 1.1):
-            _, Kt, _, _ = periodic_matrices(ps, t)
+            _, Kt, _ = rotating_frame(ps, t)
             assert np.allclose(Kt, 2.5 * np.eye(2), atol=1e-14)
 
     def test_matches_rotation_similarity(self, model1):
@@ -80,7 +79,7 @@ class TestPeriodicMatrices:
         for t in rng.uniform(0, 10, 10):
             R = np.array([[math.cos(Omega * t), math.sin(Omega * t)],
                           [-math.sin(Omega * t), math.cos(Omega * t)]])
-            Dt, Kt, _, _ = periodic_matrices(ps, t)
+            Dt, Kt, _ = rotating_frame(ps, t)
             assert np.allclose(Dt, R.T @ FIG_D @ R, atol=1e-12)
             assert np.allclose(Kt, R.T @ FIG_K @ R, atol=1e-12)
 
@@ -88,14 +87,14 @@ class TestPeriodicMatrices:
         ps = system(model1, delta=0.3, kappa=0.2, Omega=0.45)
         T = ps.period
         for t in (0.1, 0.8):
-            a = periodic_matrices(ps, t)
-            b = periodic_matrices(ps, t + T)
+            a = rotating_frame(ps, t)
+            b = rotating_frame(ps, t + T)
             for Ma, Mb in zip(a, b):
                 assert np.allclose(Ma, Mb, atol=1e-12)
 
     def test_coupling_term(self, model1):
         ps = system(model1, delta=0.3, Omega=0.5)
-        Dt, _, _, coupling = periodic_matrices(ps, 0.7)
+        Dt, _, coupling = rotating_frame(ps, 0.7)
         assert np.allclose(coupling, -0.3 * 0.5 * Dt @ J2, atol=1e-14)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,13 @@ class TestRotorModel:
         with pytest.raises(ShapeError):
             RotorModel(())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_frequencies(self, bad):
+        with pytest.raises(ShapeError, match="finite"):
+            RotorModel((bad,))
+        with pytest.raises(ShapeError, match="finite"):
+            RotorModel((1.0, bad))
+
     def test_immutable(self):
         m = RotorModel((1.0,))
         with pytest.raises(ValueError):
@@ -56,6 +65,23 @@ class TestPerturbationSet:
             PerturbationSet(D=np.array([[0.0, 1.0], [0.0, 0.0]]), K=zeros2())
         with pytest.raises(SymmetryError):
             PerturbationSet(D=zeros2(), K=zeros2(), N=np.eye(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("gain", ["delta", "kappa", "nu", "Omega"])
+    def test_rejects_non_finite_gain(self, gain, bad):
+        with pytest.raises(ShapeError, match=gain):
+            PerturbationSet(D=FIG_D, K=FIG_K, **{gain: bad})
+        with pytest.raises(ShapeError, match=gain):
+            PerturbationSet(D=FIG_D, K=FIG_K).replace(**{gain: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["D", "K", "N"])
+    def test_rejects_non_finite_entry(self, name, bad):
+        # a NaN entry would pass the symmetry gate: nan > tol is false
+        mats = {"D": FIG_D.copy(), "K": FIG_K.copy(), "N": J2.copy()}
+        mats[name][1, 1] = bad
+        with pytest.raises(ShapeError, match=name):
+            PerturbationSet(**mats)
 
     def test_replace_shares_matrices(self):
         p = PerturbationSet(D=FIG_D, K=FIG_K, delta=0.1)
